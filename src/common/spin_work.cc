@@ -1,6 +1,5 @@
 #include "common/spin_work.h"
 
-#include <atomic>
 #include <chrono>
 
 namespace aid {
@@ -17,17 +16,20 @@ u64 chain(u64 x, u64 rounds) noexcept {
   return acc;
 }
 
-std::atomic<u64> g_sink{0};
+// Keeps `v` observable, so the chain computing it cannot be deleted, without
+// writing memory: an empty asm that claims to read the register. A shared
+// sink would make every spinning thread bounce one cache line per call,
+// and the throttle would spin longer than it charges.
+inline void keep(u64 v) noexcept { asm volatile("" : : "r"(v)); }
 
 double calibrate() {
   using clock = std::chrono::steady_clock;
   // Warm up, then time a block large enough to dwarf clock granularity.
-  g_sink.fetch_add(chain(1, 10'000), std::memory_order_relaxed);
+  keep(chain(1, 10'000));
   constexpr u64 kUnits = 2'000'000;
   const auto t0 = clock::now();
-  const u64 r = chain(42, kUnits);
+  keep(chain(42, kUnits));
   const auto t1 = clock::now();
-  g_sink.fetch_add(r, std::memory_order_relaxed);
   const double secs = std::chrono::duration<double>(t1 - t0).count();
   return secs > 0.0 ? static_cast<double>(kUnits) / secs : 1e9;
 }
@@ -36,7 +38,7 @@ double calibrate() {
 
 u64 spin_work(u64 units) noexcept {
   const u64 r = chain(units + 7, units);
-  g_sink.fetch_add(r, std::memory_order_relaxed);
+  keep(r);
   return r;
 }
 

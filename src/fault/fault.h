@@ -5,7 +5,7 @@
 // subsystem injects four failure shapes at the two seams the runtimes
 // expose for it:
 //
-//   * the worker body shim (rt/team.cc, pool/worker_pool.cc participate):
+//   * the worker body shim (rt/chunk_loop.cc, shared by Team and WorkerPool):
 //     `before_chunk(tid, begin, end)` runs before each chunk's body and can
 //     throw (exception-propagation tests) or sleep (deadline/watchdog
 //     tests);

@@ -127,32 +127,7 @@ void WorkerPool::participate(const platform::TeamLayout& layout,
                              const rt::RangeBody& body, int tid,
                              const rt::Throttle& throttle,
                              CancelToken* token) {
-  sched::ThreadContext tc{
-      .tid = tid,
-      .core_type = layout.core_type_of(tid),
-      .speed = layout.speed_of(tid),
-      .shard = sched.home_shard_of(tid),
-      .time = sf_clock_,
-      .cancel = token,
-  };
-  const rt::WorkerInfo info{tid, tc.core_type, tc.speed};
-  const bool fault_on = fault::enabled();
-
-  sched::IterRange r;
-  while (sched.next(tc, r)) {
-    const Nanos t0 = clock_.now();
-    // Capture shim, identical to Team::participate: the first exception
-    // per construct is stashed in the token (atomic claim), cancels the
-    // construct, and never unwinds past the dock loop.
-    try {
-      if (fault_on) [[unlikely]]
-        fault::before_chunk(tid, r.begin, r.end);
-      body(r.begin, r.end, info);
-    } catch (...) {
-      if (token != nullptr) token->capture(std::current_exception());
-    }
-    throttle.pay(clock_.now() - t0);
-  }
+  rt::run_chunks(sched, body, layout, tid, throttle, clock_, sf_clock_, token);
 }
 
 void WorkerPool::open_window(const platform::TeamLayout& layout, PoolJob& job,

@@ -48,7 +48,7 @@
 #include "common/time_source.h"
 #include "platform/platform.h"
 #include "platform/team_layout.h"
-#include "rt/team.h"
+#include "rt/chunk_loop.h"
 #include "rt/throttle.h"
 #include "rt/watchdog.h"
 #include "sched/loop_scheduler.h"

@@ -129,38 +129,8 @@ void Team::worker_main(int tid) {
 
 void Team::participate(int tid, sched::LoopScheduler& sched,
                        const RangeBody& body, CancelToken* token) {
-  sched::ThreadContext tc{
-      .tid = tid,
-      .core_type = layout_.core_type_of(tid),
-      .speed = layout_.speed_of(tid),
-      .shard = sched.home_shard_of(tid),
-      .time = sf_clock_,
-      .cancel = token,
-  };
-  const Throttle& throttle = *throttles_[static_cast<usize>(tid)];
-  const WorkerInfo info{tid, tc.core_type, tc.speed};
-  // One latch per participation: the per-chunk fault probe is a plain
-  // register test unless a plan is installed (fault/fault.h).
-  const bool fault_on = fault::enabled();
-
-  sched::IterRange r;
-  while (sched.next(tc, r)) {
-    const Nanos t0 = clock_.now();
-    // The capture shim: a throwing body must never unwind past the dock
-    // loop (workers have no handler up-stack — unwinding would terminate).
-    // The FIRST exception per construct is stashed in the token (atomic
-    // claim) and doubles as the cancellation signal; the next sched.next()
-    // observes it, poisons the pool, and exits the take loop, so the gate
-    // still closes and the master rethrows after the barrier.
-    try {
-      if (fault_on) [[unlikely]]
-        fault::before_chunk(tid, r.begin, r.end);
-      body(r.begin, r.end, info);
-    } catch (...) {
-      if (token != nullptr) token->capture(std::current_exception());
-    }
-    throttle.pay(clock_.now() - t0);
-  }
+  run_chunks(sched, body, layout_, tid, *throttles_[static_cast<usize>(tid)],
+             clock_, sf_clock_, token);
 }
 
 u64 Team::publish(sched::LoopScheduler* sched, const RangeBody* body,

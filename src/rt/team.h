@@ -35,7 +35,6 @@
 
 #include <array>
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -45,6 +44,7 @@
 #include "common/padded.h"
 #include "common/time_source.h"
 #include "platform/team_layout.h"
+#include "rt/chunk_loop.h"
 #include "rt/runtime_config.h"
 #include "rt/throttle.h"
 #include "rt/watchdog.h"
@@ -57,18 +57,6 @@ class LoopChain;
 }  // namespace aid::pipeline
 
 namespace aid::rt {
-
-/// Per-worker facts exposed to loop bodies.
-struct WorkerInfo {
-  int tid = 0;
-  int core_type = 0;
-  double speed = 1.0;
-};
-
-/// A loop body invoked once per scheduler-assigned range of canonical
-/// iterations [begin, end). Bodies must be thread-safe across disjoint
-/// ranges (the usual OpenMP contract).
-using RangeBody = std::function<void(i64 begin, i64 end, const WorkerInfo&)>;
 
 class Team {
  public:

@@ -8,7 +8,10 @@
 //
 // Crucially the spin happens *inside* the window bracketed by the worker's
 // next() calls, so the AID sampling phase observes the emulated asymmetry
-// exactly as it would observe real hardware asymmetry.
+// exactly as it would observe real hardware asymmetry. The chunk loop
+// (rt/chunk_loop.h) times the body alone: the take, the clock reads and any
+// injected fault delay are not scaled (src/rt/README.md, "What emulation
+// charges").
 #pragma once
 
 #include "common/spin_work.h"

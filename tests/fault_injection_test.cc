@@ -21,6 +21,7 @@
 
 #include "common/cancel.h"
 #include "common/env.h"
+#include "common/spin_work.h"
 #include "fault/fault.h"
 #include "platform/platform.h"
 #include "pool/pool_manager.h"
@@ -230,6 +231,47 @@ TEST(FaultInjection, DelayClauseSlowsOnlyTheTargetThread) {
                 .count(),
             30'000);
   EXPECT_EQ(counts.executed(), 64);
+  counts.expect_at_most_once();
+}
+
+TEST(FaultInjection, DelayOnThrottledSmallCoreIsNotScaledBySlowdown) {
+  // The throttle charges (slowdown - 1) x the BODY time only: a 30 ms
+  // injected delay on an emulated 2x-slower core must not be busy-spun
+  // again after the body (which would take the construct to ~2x the
+  // delay). Timed from the delayed body's end to the construct's return,
+  // so how late the sleeping worker wakes under load does not count.
+  rt::Team team(platform::generic_amp(2, 2, 2.0), 4,
+                platform::Mapping::kBigFirst, /*emulate_amp=*/true);
+  constexpr int kSmallTid = 3;
+  ASSERT_EQ(team.layout().core_type_of(kSmallTid), 0);
+  // Finish lazy set-up outside the timed construct: the throttle's spin
+  // calibration runs on the first charge.
+  (void)spin_units_per_second();
+  constexpr i64 kDelayUs = 30'000;
+  FaultPlan plan;
+  plan.delay_tid = kSmallTid;
+  plan.delay_us = kDelayUs;
+  const ScopedPlan armed(plan);
+  using Clock = std::chrono::steady_clock;
+  HitCounts counts(4);
+  const rt::RangeBody inner = counts.body();
+  std::atomic<Clock::rep> delayed_end{0};
+  const auto t0 = Clock::now();
+  team.run_loop(4, ScheduleSpec::static_even(),
+                [&](i64 b, i64 e, const rt::WorkerInfo& w) {
+                  inner(b, e, w);
+                  if (w.tid == kSmallTid)
+                    delayed_end.store(Clock::now().time_since_epoch().count());
+                });
+  const auto t1 = Clock::now();
+  const auto us = [](Clock::duration d) {
+    return std::chrono::duration_cast<std::chrono::microseconds>(d).count();
+  };
+  EXPECT_GE(us(t1 - t0), kDelayUs);
+  const Clock::time_point body_end{Clock::duration{delayed_end.load()}};
+  EXPECT_LT(us(t1 - body_end), kDelayUs / 2)
+      << "the delay was charged to the throttle";
+  EXPECT_EQ(counts.executed(), 4);
   counts.expect_at_most_once();
 }
 

@@ -1,5 +1,6 @@
 #include "sched/aid_block_sched.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -37,6 +38,7 @@ AidBlockScheduler::AidBlockScheduler(i64 count,
   }
 
   sf_.resize(static_cast<usize>(layout.num_core_types()), 1.0);
+  shard_rate_.assign(static_cast<usize>(pool_.topology_shards()), 0.0);
   reset(count);
 }
 
@@ -74,18 +76,18 @@ void AidBlockScheduler::reset(i64 count) {
   }
 }
 
-std::vector<double> AidBlockScheduler::shard_rates() const {
-  std::vector<double> rate(static_cast<usize>(pool_.nshards()), 0.0);
+const std::vector<double>& AidBlockScheduler::shard_rates() {
+  std::fill(shard_rate_.begin(), shard_rate_.end(), 0.0);
   for (int t = 0; t < nthreads_; ++t)
-    rate[static_cast<usize>(pool_.home_of(t))] +=
+    shard_rate_[static_cast<usize>(pool_.home_of(t))] +=
         sf_[static_cast<usize>(type_of_tid_[static_cast<usize>(t)])];
-  return rate;
+  return shard_rate_;
 }
 
 void AidBlockScheduler::finalize(ThreadContext& tc) {
   // Called by exactly one thread (the last to record a sample) before any
   // other thread can observe aid_ready_ == true.
-  sf_ = estimator_.speedup_factors(nominal_speed_);
+  estimator_.speedup_factors_into(nominal_speed_, sf_);
   k_ = aid_k(aid_fraction_ * static_cast<double>(count_), threads_per_type_,
              sf_);
   // Report the SF of the fastest populated type (the paper's big-to-small

@@ -89,8 +89,9 @@ class AidBlockScheduler final : public LoopScheduler {
   bool take_aid_block(ThreadContext& tc, PerThread& pt, IterRange& out);
   bool drain(IterRange& out, int tid, int shard);
   /// Per-shard progress rates under the published SF vector (feeds the
-  /// bulk rebalance that pre-positions shards for the AID blocks).
-  [[nodiscard]] std::vector<double> shard_rates() const;
+  /// bulk rebalance that pre-positions shards for the AID blocks), written
+  /// into the pre-sized shard_rate_ buffer.
+  const std::vector<double>& shard_rates();
 
   ShardedWorkShare pool_;
   SfEstimator estimator_;
@@ -112,6 +113,7 @@ class AidBlockScheduler final : public LoopScheduler {
   std::vector<int> threads_per_type_;
   std::vector<double> nominal_speed_;
   std::vector<int> type_of_tid_;  ///< feeds per-shard rates into rebalance
+  std::vector<double> shard_rate_;  ///< shard_rates()'s buffer, pre-sized
   std::vector<Padded<PerThread>> per_thread_;
 };
 

@@ -1,10 +1,14 @@
 #include "sched/aid_dynamic_sched.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
 
 namespace aid::sched {
+
+static_assert(ShardedWorkShare::kMaxShards >= kMaxCoreTypes,
+              "one shard per core type must fit rebalance()'s stack snapshot");
 
 AidDynamicScheduler::AidDynamicScheduler(i64 count,
                                          const platform::TeamLayout& layout,
@@ -33,6 +37,7 @@ AidDynamicScheduler::AidDynamicScheduler(i64 count,
     type_of_tid_[static_cast<usize>(tid)] = layout.core_type_of(tid);
   }
   ratio_.assign(static_cast<usize>(layout.num_core_types()), 1.0);
+  shard_rate_.assign(static_cast<usize>(pool_.topology_shards()), 0.0);
   reset(count);
 }
 
@@ -53,7 +58,7 @@ void AidDynamicScheduler::close_phase(int tid) {
   // Exactly one thread executes this per phase (the one whose record() call
   // returned true). All other threads are stealing m-chunks and cannot touch
   // the estimator until the next epoch is visible.
-  ratio_ = estimator_.speedup_factors(ratio_);
+  estimator_.speedup_factors_into(ratio_, ratio_);
   for (usize t = ratio_.size(); t-- > 0;) {
     if (threads_per_type_[t] > 0) {
       if (reported_sf_ == 0.0) reported_sf_ = ratio_[t];  // initial SF
@@ -65,11 +70,11 @@ void AidDynamicScheduler::close_phase(int tid) {
     // is the sum of its member threads' measured progress ratios, so the
     // cluster the SF says will finish early receives a contiguous block
     // now instead of chunk-stealing it remotely later.
-    std::vector<double> rate(static_cast<usize>(pool_.nshards()), 0.0);
+    std::fill(shard_rate_.begin(), shard_rate_.end(), 0.0);
     for (int t = 0; t < nthreads_; ++t)
-      rate[static_cast<usize>(pool_.home_of(t))] +=
+      shard_rate_[static_cast<usize>(pool_.home_of(t))] +=
           ratio_[static_cast<usize>(type_of_tid_[static_cast<usize>(t)])];
-    pool_.rebalance(rate, /*min_block=*/major_chunk_, tid);
+    pool_.rebalance(shard_rate_, /*min_block=*/major_chunk_, tid);
   }
   phases_completed_.fetch_add(1, std::memory_order_relaxed);
   estimator_.reset(nthreads_);

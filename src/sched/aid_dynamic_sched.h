@@ -98,16 +98,25 @@ class AidDynamicScheduler final : public LoopScheduler {
   }
 
   ShardedWorkShare pool_;
-  SfEstimator estimator_;
-  std::atomic<i64> epoch_{0};  // 0 = initial sampling; >=1: AID phases
-  std::atomic<bool> endgame_{false};
 
-  // Published by close_phase() before the epoch release-increment.
-  std::vector<double> ratio_;  // R_t per core type
+  // Three groups by writer, each starting on its own cache line, so the
+  // once-per-phase writes never invalidate the line every next() reads
+  // (src/sched/README.md, "AID-dynamic phase cost").
+  //
+  // (1) Written by every thread once per phase: record()'s completion RMW.
+  alignas(kCacheLineBytes) SfEstimator estimator_;
+
+  // (2) Published by close_phase() before the epoch release-increment;
+  // epoch_ and endgame_ are loaded on every next().
+  alignas(kCacheLineBytes) std::atomic<i64> epoch_{0};  // 0 = sampling
+  std::atomic<bool> endgame_{false};
+  std::vector<double> ratio_;  // R_t per core type, updated in place
   double reported_sf_ = 0.0;
   std::atomic<i64> phases_completed_{0};
 
-  i64 count_;
+  // (3) Configuration: written by the ctor and reset() only. The buffers'
+  // heap storage is pre-sized there, so close_phase() never allocates.
+  alignas(kCacheLineBytes) i64 count_;
   const i64 minor_chunk_;
   const i64 major_chunk_;
   const bool endgame_enabled_;
@@ -115,6 +124,7 @@ class AidDynamicScheduler final : public LoopScheduler {
   std::vector<int> threads_per_type_;
   std::vector<double> nominal_speed_;
   std::vector<int> type_of_tid_;  ///< feeds per-shard rates into rebalance
+  std::vector<double> shard_rate_;  ///< close_phase()'s rebalance weights
   std::vector<Padded<PerThread>> per_thread_;
 };
 

@@ -51,33 +51,41 @@ double SfEstimator::rate(int core_type) const {
 
 std::vector<double> SfEstimator::speedup_factors(
     const std::vector<double>& fallback_speed) const {
+  std::vector<double> sf(types_.size());
+  speedup_factors_into(fallback_speed, sf);
+  return sf;
+}
+
+void SfEstimator::speedup_factors_into(
+    const std::vector<double>& fallback_speed,
+    std::vector<double>& out) const {
   AID_CHECK(fallback_speed.size() == types_.size());
-  std::vector<double> rates(types_.size());
+  out.resize(types_.size());  // no-op once sized: the hot callers pre-size
+  double rates[kMaxCoreTypes] = {};
   for (usize t = 0; t < types_.size(); ++t)
     rates[t] = rate(static_cast<int>(t));
 
   // Reference = slowest populated type: the first (types are ordered
   // slowest-first by construction of the platform) with a valid rate.
   double ref = 0.0;
-  for (double r : rates) {
-    if (r > 0.0) {
-      ref = r;
+  for (usize t = 0; t < types_.size(); ++t) {
+    if (rates[t] > 0.0) {
+      ref = rates[t];
       break;
     }
   }
 
-  std::vector<double> sf(types_.size());
   for (usize t = 0; t < types_.size(); ++t) {
+    double sf;
     if (rates[t] > 0.0 && ref > 0.0) {
-      sf[t] = rates[t] / ref;
+      sf = rates[t] / ref;
     } else {
       // No sample for this type (no threads bound there, or it never got an
       // iteration): trust the platform's nominal speed ratio.
-      sf[t] = fallback_speed[t];
+      sf = fallback_speed[t];
     }
-    if (sf[t] < kMinSf) sf[t] = kMinSf;
+    out[t] = sf < kMinSf ? kMinSf : sf;
   }
-  return sf;
 }
 
 double aid_k(double num_iterations, const std::vector<int>& threads_per_type,

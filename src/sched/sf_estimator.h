@@ -55,6 +55,13 @@ class SfEstimator {
   [[nodiscard]] std::vector<double> speedup_factors(
       const std::vector<double>& fallback_speed) const;
 
+  /// speedup_factors() into a caller-owned vector: no allocation once `out`
+  /// holds num_core_types() entries. `out` may alias `fallback_speed`, so a
+  /// scheduler can update its published ratios in place (each entry's
+  /// fallback is read before that entry is written).
+  void speedup_factors_into(const std::vector<double>& fallback_speed,
+                            std::vector<double>& out) const;
+
   [[nodiscard]] int num_core_types() const {
     return static_cast<int>(types_.size());
   }

@@ -13,6 +13,7 @@ ShardedWorkShare::ShardedWorkShare(ShardTopology topo, int nthreads)
   // exactly what it did before sharding existed (constructs are built per
   // loop — thousands of times in data-parallel apps).
   nshards_ = topo_.nshards();
+  AID_CHECK(nshards_ <= kMaxShards);
   config_single_ = nshards_ < 2;
   single_mode_ = true;
   if (!config_single_) {
@@ -140,6 +141,11 @@ bool ShardedWorkShare::install(int to, i64 begin, i64 end) {
 bool ShardedWorkShare::migrate(int from, int to, i64 want_block,
                                i64 min_block, int tid) {
   if (min_block < 1) min_block = 1;
+  // Probe before cutting: with every slot of `to` live the cut could only
+  // be merged back. The AID-dynamic phase close reaches this point nearly
+  // every phase, and a cut + merge-back is two CASes on the donor's hot
+  // segment word plus the token's line — for a block that cannot land.
+  if (!has_drained_slot(to)) return false;
   // Single-writer migration: contenders fall back to chunk steals rather
   // than wait, so no take ever blocks here. Holding the token is what
   // makes the merge-back below sound — nobody else can move any end.
@@ -179,7 +185,8 @@ bool ShardedWorkShare::migrate(int from, int to, i64 want_block,
           c.rebalanced_iters.fetch_add(b, std::memory_order_relaxed);
           moved = true;
         } else {
-          // Every slot of `to` is live: merge the block back into the
+          // Every slot of `to` went live since the probe (a racing
+          // migration installed there): merge the block back into the
           // donor. Its end is still e - b (we hold migrating_), so the
           // block stays adjacent; a cursor that overshot past e - b
           // represents discarded (empty) claims, so winding it back to
@@ -212,11 +219,11 @@ bool ShardedWorkShare::rebalance(const std::vector<double>& weights,
   for (const double w : weights) wsum += w > 0.0 ? w : 0.0;
   if (wsum <= 0.0) return false;
 
-  std::vector<i64> rem(static_cast<usize>(nshards_));
+  i64 rem[kMaxShards] = {};
   i64 total = 0;
   for (int s = 0; s < nshards_; ++s) {
-    rem[static_cast<usize>(s)] = remaining_of_shard(s);
-    total += rem[static_cast<usize>(s)];
+    rem[s] = remaining_of_shard(s);
+    total += rem[s];
   }
   if (total <= 0) return false;
 
@@ -229,7 +236,7 @@ bool ShardedWorkShare::rebalance(const std::vector<double>& weights,
     const double w = weights[static_cast<usize>(s)];
     const i64 target = std::llround(static_cast<double>(total) *
                                     (w > 0.0 ? w : 0.0) / wsum);
-    const i64 diff = rem[static_cast<usize>(s)] - target;
+    const i64 diff = rem[s] - target;
     if (diff > excess) {
       excess = diff;
       donor = s;

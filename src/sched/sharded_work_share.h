@@ -69,6 +69,10 @@ class ShardedWorkShare {
   /// Minimum remainder a foreign shard must hold before the steal path
   /// bulk-migrates instead of removing one chunk remotely.
   static constexpr i64 kBulkStealMin = 64;
+  /// Shards per pool: one per populated core type, so the estimator's
+  /// kMaxCoreTypes bounds it. Lets rebalance() keep its per-shard snapshot
+  /// on the stack.
+  static constexpr int kMaxShards = 8;
 
   /// `topo` assigns every tid a home shard (empty topology = one shard:
   /// the classic pool, with zero extra allocation); `nthreads` sizes the
@@ -185,6 +189,10 @@ class ShardedWorkShare {
 
   [[nodiscard]] i64 end() const { return count_; }
   [[nodiscard]] int nshards() const { return single_mode_ ? 1 : nshards_; }
+  /// Shards of the topology, whatever the current loop's mode: what
+  /// nshards() reports whenever the pool runs sharded. Sizes weight
+  /// buffers that callers fill once per phase.
+  [[nodiscard]] int topology_shards() const { return nshards_; }
   [[nodiscard]] int home_of(int tid) const {
     return single_mode_ ? 0 : topo_.home_of(tid);
   }
@@ -314,9 +322,20 @@ class ShardedWorkShare {
 
   /// Cut up to `want_block` iterations (at least `min_block`, leaving the
   /// donor at least `min_block`) off the top of shard `from` and install
-  /// them as a fresh segment of shard `to`. Serialized by migrating_ so a
-  /// cut block can always be merged back if `to` has no free segment.
+  /// them as a fresh segment of shard `to`. Returns false without cutting
+  /// when `to` shows no drained slot. Serialized by migrating_ so a cut
+  /// block can always be merged back if a racing migrator took the slot.
   bool migrate(int from, int to, i64 want_block, i64 min_block, int tid);
+
+  /// Read-only probe: does shard `s` have a drained segment slot that an
+  /// install could take?
+  [[nodiscard]] bool has_drained_slot(int s) const {
+    for (int i = 0; i < kSegsPerShard; ++i) {
+      const u64 w = seg(s, i).load(std::memory_order_acquire);
+      if (unpack_next(w) >= unpack_end(w)) return true;
+    }
+    return false;
+  }
 
   /// Install [begin, end) into a drained segment slot of shard `to`.
   /// Caller holds migrating_. Returns false when all slots are live.

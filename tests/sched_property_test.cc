@@ -243,6 +243,47 @@ TEST(ShardedWorkShare, EstimatorDrivenRebalanceMovesTowardFastShard) {
   EXPECT_EQ(pool.rebalances(), 1);
 }
 
+TEST(ShardedWorkShare, RebalanceIntoFullRecipientCutsNothing) {
+  // Each successful rebalance toward shard 1 installs its block in one of
+  // shard 1's drained slots; slot 0 holds the initial split. Once all
+  // kSegsPerShard slots are live, a further rebalance has nowhere to land:
+  // it must report no move and leave both shards exactly as they were
+  // (the migrate probe returns before any cut).
+  const ShardTopology topo = two_shard_topo(4);
+  ShardedWorkShare pool(topo, 4);
+  const i64 count = 1000;
+  pool.reset(count, {1.0, 1.0});  // even start: 500 / 500
+  double fast = 1.0;
+  for (int moved = 1; moved < ShardedWorkShare::kSegsPerShard; ++moved) {
+    fast *= 2.0;  // each step asks for more than the last one moved
+    ASSERT_TRUE(pool.rebalance({1.0, fast}, /*min_block=*/8, /*tid=*/0))
+        << "rebalance " << moved;
+    ASSERT_EQ(pool.rebalances(), moved);
+  }
+  const i64 rem0 = pool.remaining_of_shard(0);
+  const i64 rem1 = pool.remaining_of_shard(1);
+  ASSERT_GT(rem0, 16);  // the next ask is well above min_block
+  EXPECT_FALSE(pool.rebalance({1.0, 2.0 * fast}, /*min_block=*/8, 0));
+  EXPECT_EQ(pool.rebalances(), ShardedWorkShare::kSegsPerShard - 1);
+  EXPECT_EQ(pool.remaining_of_shard(0), rem0);
+  EXPECT_EQ(pool.remaining_of_shard(1), rem1);
+
+  // The refused rebalance stranded nothing: a full drain from both homes
+  // still delivers every iteration exactly once.
+  std::vector<u8> seen(static_cast<usize>(count), 0);
+  for (int i = 0;; ++i) {
+    const int tid = i % 4;
+    const IterRange r = pool.take(3, tid, topo.home_of(tid));
+    if (r.empty()) break;
+    for (i64 k = r.begin; k < r.end; ++k) {
+      ASSERT_EQ(seen[static_cast<usize>(k)], 0) << "iteration " << k;
+      seen[static_cast<usize>(k)] = 1;
+    }
+  }
+  for (i64 k = 0; k < count; ++k)
+    ASSERT_EQ(seen[static_cast<usize>(k)], 1) << "iteration " << k;
+}
+
 TEST(ShardedWorkShare, OversizedLoopFallsBackToSinglePool) {
   const ShardTopology topo = two_shard_topo(4);
   ShardedWorkShare pool(topo, 4);

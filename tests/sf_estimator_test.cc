@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
 #include "sched/sf_estimator.h"
 
@@ -61,6 +62,22 @@ TEST(SfEstimator, MissingTypeFallsBackToNominalSpeed) {
   const auto sf = e.speedup_factors({1.0, 2.4});
   EXPECT_DOUBLE_EQ(sf[0], 1.0);
   EXPECT_DOUBLE_EQ(sf[1], 2.4);
+}
+
+TEST(SfEstimator, SpeedupFactorsIntoMayAliasFallback) {
+  // The AID-dynamic phase close updates its ratios in place: out aliases
+  // the fallback. Type 1 is sampled; type 2 is not and must fall back to
+  // its own entry of the (aliased) input.
+  SfEstimator e(3);
+  e.reset(2);
+  e.record(0, 400, 2);
+  e.record(1, 100, 2);
+  std::vector<double> v{1.0, 1.5, 2.5};
+  const std::vector<double> expected = e.speedup_factors(v);
+  e.speedup_factors_into(v, v);
+  EXPECT_EQ(v, expected);
+  EXPECT_DOUBLE_EQ(v[1], 4.0);
+  EXPECT_DOUBLE_EQ(v[2], 2.5);
 }
 
 TEST(SfEstimator, ZeroElapsedClampedToOneNanosecond) {

@@ -1,5 +1,5 @@
-// Best-effort thread-to-core pinning, shared by the private-team runtime
-// (rt/team.cc) and the pool workers (pool/worker_pool.cc).
+// Best-effort thread-to-core pinning for the dispatch engine's masters and
+// workers (pool/worker_pool.cc).
 //
 // On the development host the platform's core ids may exceed the real CPU
 // count; failures are silently ignored (the Throttle provides the

@@ -4,8 +4,8 @@
 // owner reset()s it between constructs), and the FIRST reason to arrive
 // wins — later cancels are no-ops, so "user cancel raced the deadline"
 // reports deterministically whichever actually landed first. The runtimes
-// embed one token per in-flight ring slot (rt::Team::ChainSlot,
-// pool::PoolJob::Entry) and point every worker's ThreadContext at it; the
+// embed one token per in-flight ring slot (pool::PoolJob::Entry) and
+// point every worker's ThreadContext at it; the
 // schedulers observe it at each chunk-take boundary and poison their
 // iteration pool on the first sighting, so cancel latency is one chunk.
 //

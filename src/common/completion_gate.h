@@ -1,10 +1,10 @@
 // Completion gate for one in-flight construct slot.
 //
-// The loop-pipeline ring (rt/team.h ChainSlot, pool/worker_pool.h
-// PoolJob::Entry) tracks per-construct completion with the same three-word
-// protocol in both runtimes; this header is its single home so the subtle
-// parts — the monotone watermark and the Dekker-paired wake — cannot
-// drift apart between copies.
+// The dispatch engine's entry ring (pool/worker_pool.h PoolJob::Entry)
+// and the GOMP work-share ring (rt/gomp_compat.cc) track per-construct
+// completion with the same three-word protocol; this header is its single
+// home so the subtle parts — the monotone watermark and the Dekker-paired
+// wake — cannot drift apart between the two rings.
 //
 //  * `unfinished` — countdown over all participants of the construct
 //    (master included). arm() loads it, check_in() decrements.
@@ -44,6 +44,9 @@ class CompletionGate {
   CompletionGate() = default;
   CompletionGate(const CompletionGate&) = delete;
   CompletionGate& operator=(const CompletionGate&) = delete;
+
+  /// Longest cpu_relax burst between two polls of the watermark.
+  static constexpr i32 kWaitMaxBurst = 8;
 
   /// Destruction-ordering guard (debug builds): an armed gate must have
   /// fully closed before its owner destructs — a wedged construct must
@@ -128,14 +131,18 @@ class CompletionGate {
   }
 
   /// Spin-then-yield-then-block until `complete(tag)` (budgets per
-  /// common/spin_wait.h).
+  /// common/spin_wait.h). The watermark is written once per construct, so
+  /// polling it often costs no coherence traffic; bursts are capped at
+  /// kWaitMaxBurst pauses so the wait notices the completion within
+  /// ~0.2 µs instead of on a ~1.2 µs grid whose phase decides a join's
+  /// cost.
   void wait(u64 tag, i32 spin_budget, i32 yield_budget) {
     std::atomic<u64>& completed = *completed_;
     if (completed.load(std::memory_order_acquire) >= tag) return;
 
     if (spin_then_yield(
             [&] { return completed.load(std::memory_order_acquire) >= tag; },
-            spin_budget, yield_budget))
+            spin_budget, yield_budget, kWaitMaxBurst))
       return;
 
     waiters_->fetch_add(1, std::memory_order_seq_cst);

@@ -1,6 +1,7 @@
 // Spin-then-block building blocks for the fork/join fast path.
 //
-// The runtime's dispatch and completion waits (rt/team.cc) first spin with
+// The runtime's dispatch and completion waits (pool/worker_pool.cc, the
+// completion gate, the GOMP work-share ring) first spin with
 // CPU-relax hints — a handful of cache-coherency round-trips is orders of
 // magnitude cheaper than a futex sleep/wake when the awaited store lands
 // within microseconds — and only then fall back to a blocking
@@ -31,11 +32,15 @@ inline void cpu_relax() noexcept {
 }
 
 /// Bounded exponential backoff: pause() executes a burst of cpu_relax that
-/// doubles per round (capped), drawing down a fixed total budget. Once
-/// exhausted() the caller should block instead of continuing to spin.
+/// doubles per round (capped at `max_burst`), drawing down a fixed total
+/// budget. Once exhausted() the caller should block instead of continuing
+/// to spin.
 class SpinBackoff {
  public:
-  explicit SpinBackoff(i32 total_pauses) : left_(total_pauses) {}
+  static constexpr i32 kMaxBurst = 64;
+
+  explicit SpinBackoff(i32 total_pauses, i32 max_burst = kMaxBurst)
+      : max_burst_(max_burst), left_(total_pauses) {}
 
   [[nodiscard]] bool exhausted() const noexcept { return left_ <= 0; }
 
@@ -43,11 +48,11 @@ class SpinBackoff {
     const i32 burst = burst_ < left_ ? burst_ : left_;
     for (i32 i = 0; i < burst; ++i) cpu_relax();
     left_ -= burst;
-    if (burst_ < kMaxBurst) burst_ <<= 1;
+    if (burst_ < max_burst_) burst_ <<= 1;
   }
 
  private:
-  static constexpr i32 kMaxBurst = 64;
+  i32 max_burst_;
   i32 burst_ = 1;
   i32 left_;
 };
@@ -67,9 +72,10 @@ class SpinBackoff {
 /// budgets are exhausted (the caller then blocks — futex). Keeps the
 /// backoff policy in one place for every runtime wait site.
 template <typename Poll>
-[[nodiscard]] inline bool spin_then_yield(Poll&& poll, i32 spin_budget,
-                                          i32 yield_budget) {
-  SpinBackoff backoff(spin_budget);
+[[nodiscard]] inline bool spin_then_yield(
+    Poll&& poll, i32 spin_budget, i32 yield_budget,
+    i32 max_burst = SpinBackoff::kMaxBurst) {
+  SpinBackoff backoff(spin_budget, max_burst);
   while (!backoff.exhausted()) {
     backoff.pause();
     if (poll()) return true;

@@ -5,7 +5,8 @@
 // subsystem injects four failure shapes at the two seams the runtimes
 // expose for it:
 //
-//   * the worker body shim (rt/chunk_loop.cc, shared by Team and WorkerPool):
+//   * the worker body shim (rt/chunk_loop.cc, the dispatch engine's one
+//     chunk loop):
 //     `before_chunk(tid, begin, end)` runs before each chunk's body and can
 //     throw (exception-propagation tests) or sleep (deadline/watchdog
 //     tests);

@@ -9,12 +9,13 @@
 // true nowait overlap: a team member that drains its share of loop k flows
 // straight into loop k+1 while stragglers are still finishing loop k.
 //
-// Execution is provided by the runtime layers (rt::Team::run_chain,
-// pool::AppHandle::run_chain, rt::Runtime::run_chain) over the per-worker
-// generation docks: the chain's loops are published as consecutive dispatch
-// generations into a small ring of in-flight constructs, and each worker
-// advances through the ring locally. The master blocks only at the chain's
-// end (the implicit flush). See src/pipeline/README.md for the design note.
+// Execution is one chain loop, pool::WorkerPool::run_chain, reached through
+// rt::Team::run_chain, pool::AppHandle::run_chain or rt::Runtime::run_chain:
+// the chain's loops are published as consecutive entries of a small ring
+// of in-flight constructs over the per-core generation docks, and each
+// worker advances through the ring locally. The master blocks only at the
+// chain's end (the implicit flush). See src/pipeline/README.md for the
+// design note.
 #pragma once
 
 #include <vector>

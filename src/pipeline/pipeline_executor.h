@@ -6,7 +6,7 @@
 // returns immediately; flush() hands the whole chain to the runtime's
 // pipelined chain executor and blocks until every loop has completed —
 // the only point where the calling thread joins. Inside the runtime the
-// chain's loops are dispatched over the per-worker generation docks with
+// chain's loops are dispatched over the per-core generation docks with
 // nowait semantics: a team member that drains its share of loop k flows
 // straight into loop k+1 while stragglers finish loop k, and only
 // depends_on edges gate entry (see src/pipeline/README.md).

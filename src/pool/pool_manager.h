@@ -92,11 +92,12 @@ class AppHandle {
                 const rt::RangeBody& body);
 
   /// Execute a chain of loops with nowait semantics on the leased
-  /// partition (see rt::Team::run_chain): partition members flow from loop
-  /// k to loop k+1 without an inter-construct barrier, and pending
-  /// repartitions are committed *between ring entries* — the chain drains
-  /// its published loops, adopts the new partition, and continues — rather
-  /// than only between whole chains. Blocks until every loop completes.
+  /// partition (WorkerPool::run_chain, the loop rt::Team::run_chain runs
+  /// too): partition members flow from loop k to loop k+1 without an
+  /// inter-construct barrier, and pending repartitions are committed
+  /// *between ring entries* — the chain drains its published loops, adopts
+  /// the new partition, and continues — rather than only between whole
+  /// chains. Blocks until every loop completes.
   void run_chain(const pipeline::LoopChain& chain);
 
   /// Per-iteration convenience over a user iteration space.
@@ -259,8 +260,26 @@ class PoolManager {
     std::unique_ptr<PoolJob> job;
   };
 
+  /// What one construct on a lease runs against, captured at its loop
+  /// boundary; `t0` starts its LeaseStats::busy_ns.
+  struct Construct {
+    WorkerPool::Target target;
+    PoolJob* job = nullptr;
+    const CancelToken* lease_cancel = nullptr;
+    Nanos t0 = 0;
+  };
+
   App& app_of(u64 id);
   const App& app_of(u64 id) const;
+  /// Adopt pending grants/revokes (mutex held via `lk`), waiting while
+  /// every granted core is still held by a draining neighbour.
+  void await_partition(std::unique_lock<std::mutex>& lk, App& app);
+  /// Loop-boundary entry of a run_loop/run_chain: adopt, mark the app in
+  /// flight, re-arm its lease cancel token, open its dispatch window.
+  Construct begin_construct(u64 id);
+  /// Construct exit: record stats and usage, leave the loop, commit.
+  void end_construct(u64 id, const Construct& c,
+                     const sched::SchedulerStats& stats, bool chain);
   /// Recompute `pending` for every app from the policy (mutex held).
   void compute_targets();
   /// `pending` minus cores other apps still hold (mutex held).

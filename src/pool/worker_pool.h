@@ -1,36 +1,37 @@
-// Process-wide worker pool: one lazily-spawned persistent worker per
-// platform core, dispatchable per *partition*.
+// The dispatch engine: one lazily-spawned persistent worker per platform
+// core, dispatchable per *partition*.
 //
-// Team (rt/team.h) owns a private set of workers sized to one app; the
-// WorkerPool instead owns at most one worker per platform core and lets a
-// caller run a loop on any subset of cores (a TeamLayout built over an
-// explicit core list). Two apps holding disjoint partitions dispatch
-// concurrently without sharing any synchronization beyond the sleep epoch.
+// Every fork/join construct in libaid runs here. rt::Team is one fixed
+// partition of a private WorkerPool; the PoolManager leases partitions of
+// the process-wide one. A caller runs a loop on any subset of cores (a
+// TeamLayout built over an explicit core list); two masters holding
+// disjoint partitions dispatch concurrently without sharing any
+// synchronization beyond the sleep epoch.
 //
-// The dispatch mechanism is PR 1's generation dock, per core instead of per
-// team thread, extended (PR 3) with a per-job ring of in-flight chain
-// entries: each PoolJob carries kChainRing entry slots `{scheduler, body,
-// dependency, completion countdown}` keyed by a monotone entry sequence
-// number, and each core dock maps its generations onto those sequences
-// through a *window* base pair {base_gen, base_seq}. Publishing entry seq
-// to a partition bumps every member dock by one generation; a worker that
-// observes its dock at generation g executes every entry in (last-seen, g]
-// in order. That is what lets a chain of loops flow with nowait semantics:
-// the app's master publishes loop k+1 while stragglers still drain loop k,
-// and only explicit dependency edges (entry.dep_seq) gate entry.
+// Dispatch is a generation dock per core plus a per-job ring of in-flight
+// entries: each PoolJob carries kChainRing entry slots `{scheduler lease,
+// body, dependency, completion gate, cancel token, watchdog id}` keyed by
+// a monotone entry sequence number, and each core dock maps its
+// generations onto those sequences through a *window* base pair
+// {base_gen, base_seq}. Publishing an entry to a partition bumps every
+// member dock by one generation; a worker that observes its dock at
+// generation g executes every entry in (last-seen, g] in order. That is
+// what lets a chain of loops flow with nowait semantics: the master
+// publishes loop k+1 while stragglers still drain loop k, and only
+// explicit dependency edges (entry.dep_seq) gate entry.
 //
-// Repartitioning therefore still needs no thread teardown — a revoked core
-// simply stops having windows opened on its dock and its worker parks on
-// the shared epoch futex. A window never spans a repartition: the owning
-// master flushes every published entry before it rewrites dock window
-// fields or changes the partition (see PoolManager::run_chain).
+// A window never spans a partition change: its owner flushes every
+// published entry before reopening it on other cores (a PoolManager
+// repartition). A Team's partition never moves, so it opens its window
+// once. Repartitioning needs no thread teardown — a revoked core simply
+// stops having windows opened on its dock and its worker parks on the
+// shared epoch futex.
 //
-// The calling thread (the app's master) participates as partition tid 0 on
-// layout.core_of(0), exactly like Team's master: single-core partitions
-// run fully serial with zero dispatches, and serial phases run inside the
-// partition's core budget.
+// The calling thread (the master) participates as partition tid 0 on
+// layout.core_of(0). run_loop on a single-core partition runs serially
+// with zero dispatches.
 //
-// Ownership contract (enforced by PoolManager, assumed here): at any
+// Ownership contract (enforced by the callers, assumed here): at any
 // moment each core is published to by at most one master, and ownership of
 // a core moves between masters only while no job is in flight on it. The
 // pool itself is mechanism, not policy.
@@ -52,38 +53,44 @@
 #include "rt/throttle.h"
 #include "rt/watchdog.h"
 #include "sched/loop_scheduler.h"
+#include "sched/scheduler_cache.h"
+#include "sched/shard_topology.h"
+
+namespace aid::pipeline {
+class LoopChain;
+}  // namespace aid::pipeline
 
 namespace aid::pool {
 
-/// One app's in-flight dispatch state: a ring of chain entries keyed by a
-/// monotone sequence number (a plain run_loop is a chain of one). The
-/// caller owns the object and must keep it alive until the pool shuts down
-/// (workers touch an entry's completion words briefly after the master's
-/// final wait returns; the PoolManager parks retired jobs instead of
-/// freeing them).
+/// One master's in-flight dispatch state: a ring of chain entries keyed by
+/// a monotone sequence number (a plain run_loop is a chain of one). The
+/// owner must keep it alive until the pool's workers are joined (workers
+/// touch an entry's completion words briefly after the master's final wait
+/// returns; the PoolManager parks retired jobs instead of freeing them).
 struct PoolJob {
   /// In-flight constructs the entry ring can hold before the publisher
-  /// must wait for the oldest to drain. Matches rt::Team::kChainRing.
+  /// must wait for the oldest to drain.
   static constexpr u64 kChainRing = 8;
 
-  /// One in-flight construct. `sched`/`body`/`dep_seq` are plain fields,
-  /// ordered by the owning dock generations' release-stores; completion
-  /// is the shared gate protocol (common/completion_gate.h, same as
-  /// rt::Team::ChainSlot) keyed by the monotone entry sequence.
+  /// One in-flight construct. The plain fields are written by the staging
+  /// master and ordered by the owning dock generations' release-stores;
+  /// completion is the gate protocol (common/completion_gate.h) keyed by
+  /// the monotone entry sequence.
   struct Entry {
+    /// The construct's scheduler: a cache lease, returned once the entry
+    /// completed (a chain returns it when the slot is reused or at the
+    /// chain end).
     sched::LoopScheduler* sched = nullptr;
     const rt::RangeBody* body = nullptr;
     u64 dep_seq = 0;  ///< entry sequence that must complete first (0 = none)
+    u64 watchdog_id = 0;  ///< armed deadline (0 = none)
     CompletionGate gate;
-    /// The occupant's cancellation token: reset + re-bound by the staging
-    /// master (ring reuse guard already held), read at every chunk take,
+    /// The occupant's cancellation token: reset + re-bound by stage()
+    /// (ring reuse guard already held), read at every chunk take,
     /// harvested before the slot is reused or the construct returns.
     CancelToken token;
   };
 
-  /// The partition the current window runs on. Stable for a window's whole
-  /// lifetime (the master flushes before changing it).
-  const platform::TeamLayout* layout = nullptr;
   /// Next entry sequence to publish (master-only; monotone for the job's
   /// lifetime, so `completed` never goes backwards across apps recycling
   /// the job). Sequence 0 is reserved as "no dependency".
@@ -91,10 +98,21 @@ struct PoolJob {
   std::array<Entry, kChainRing> ring;
 
   [[nodiscard]] Entry& entry_of(u64 seq) { return ring[seq % kChainRing]; }
-  [[nodiscard]] const Entry& entry_of(u64 seq) const {
-    return ring[seq % kChainRing];
-  }
+
+  /// Fill the next entry — scheduler, body, dependency, token parents, a
+  /// countdown over `participants` — and return its sequence. The slot's
+  /// previous occupant must be complete (the caller's ring reuse guard).
+  u64 stage(int participants, sched::LoopScheduler* sched,
+            const rt::RangeBody* body, u64 dep_seq,
+            const CancelToken* parent_a, const CancelToken* parent_b);
 };
+
+// The cache retains this many idle instances per shape precisely so a
+// chain can hold a full ring of same-shape constructs in flight; a ring
+// deepened past the retention cap would silently reintroduce steady-state
+// construction misses (and break the cache-determinism tests).
+static_assert(PoolJob::kChainRing <= sched::SchedulerCache::kInstancesPerShape,
+              "chain-ring depth exceeds SchedulerCache per-shape retention");
 
 class WorkerPool {
  public:
@@ -104,79 +122,83 @@ class WorkerPool {
     bool sf_cpu_time = false;  ///< schedulers sample per-thread CPU time
   };
 
-  WorkerPool(const platform::Platform& platform, Options options);
+  /// What a construct runs on: the partition, its shard topology, and the
+  /// cache its scheduler leases are drawn from.
+  struct Target {
+    const platform::TeamLayout* layout = nullptr;
+    const sched::ShardTopology* topo = nullptr;
+    sched::SchedulerCache* cache = nullptr;
+  };
+
+  /// A caller's hook between chain entries (the PoolManager's repartition
+  /// commit). run_chain polls pending() before each publish; once it
+  /// reports true, publishing stops, the master finishes its shares, every
+  /// published entry is flushed and harvested, and commit() may move
+  /// `target` to a new partition, on which the chain continues.
+  class ChainBoundary {
+   public:
+    virtual bool pending() = 0;
+    virtual void commit(Target& target) = 0;
+
+   protected:
+    ~ChainBoundary() = default;
+  };
+
+  struct Result {
+    std::exception_ptr error;     ///< first exception of any entry
+    sched::SchedulerStats stats;  ///< the (final) entry's stats
+  };
+
+  /// `max_partition` is the widest partition this pool will dispatch; it
+  /// sizes the default spin/yield budgets (common/spin_wait.h), which
+  /// AID_FORKJOIN_SPIN / AID_FORKJOIN_YIELD override.
+  WorkerPool(const platform::Platform& platform, Options options,
+             int max_partition);
   ~WorkerPool();
 
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  /// Execute `count` canonical iterations of `sched`/`body` on the
-  /// partition described by `layout` (core ids are platform core ids).
-  /// The calling thread participates as tid 0; tids 1.. are dispatched to
-  /// the workers owning those cores (spawned on first use). Blocks until
-  /// the partition's implicit barrier completes. Equivalent to a
-  /// one-entry window: open_window + publish_entry + run_entry_master +
-  /// wait_entry.
-  ///
-  /// Failure domain: the construct's token is bound to the two optional
-  /// parent tokens (the caller's spec token and the app-lease token); a
-  /// throwing body is captured and RETURNED (never thrown) so the caller
-  /// — who owns the lease — can release it before rethrowing. When
-  /// `watchdog` is non-null and deadline_ns > 0, a deadline is armed for
-  /// the construct and disarmed before returning.
-  [[nodiscard]] std::exception_ptr run_loop(
-      const platform::TeamLayout& layout, i64 count,
-      sched::LoopScheduler& sched, const rt::RangeBody& body, PoolJob& job,
-      const CancelToken* parent_a = nullptr,
-      const CancelToken* parent_b = nullptr,
-      rt::Watchdog* watchdog = nullptr, i64 deadline_ns = 0);
-
-  // --- chain windows (the loop-pipeline dispatch path) ---------------------
-  //
-  // A *window* is a run of consecutively published entries executed on one
-  // fixed partition. PoolManager::run_chain drives these primitives so it
-  // can interleave repartition commits between ring entries: flush, close
-  // the window, adopt the new partition, open a new window.
-
   /// Associate every worker core of `layout` with `job` and map the next
-  /// published generations onto entry sequences seq0, seq0+1, ... Workers
-  /// are spawned lazily; nothing is dispatched yet. The previous window on
-  /// these cores must be fully complete.
+  /// published generations onto entry sequences seq0, seq0+1, ...; binds
+  /// the calling master to layout.core_of(0) when binding is on, and
+  /// spawns the worker of a core on its first window. Nothing is
+  /// dispatched yet. Every entry previously published on these cores
+  /// must be complete. The window stays valid for as long as every entry
+  /// of `job` is published on `layout`.
   void open_window(const platform::TeamLayout& layout, PoolJob& job,
                    u64 seq0);
 
-  /// Publish the next staged entry of the open window (the caller has
-  /// filled the ring entry's fields and countdown): bump every worker dock
-  /// of `layout` by one generation and wake sleepers.
-  void publish_entry(const platform::TeamLayout& layout);
+  /// Execute `count` canonical iterations of `body` under `spec` on
+  /// target.layout, whose window for `job` is open, with a scheduler
+  /// leased from target.cache for the construct. The calling thread
+  /// participates as tid 0; tids 1.. are dispatched to the workers owning
+  /// those cores. Blocks until the partition's implicit barrier completes.
+  ///
+  /// Failure domain: the construct's token binds spec.cancel and
+  /// `lease_cancel`; spec.deadline_ns arms `watchdog` for the construct;
+  /// a throwing body is captured and RETURNED (never thrown), after the
+  /// scheduler lease went back to the cache.
+  [[nodiscard]] Result run_loop(Target target, i64 count,
+                                const sched::ScheduleSpec& spec,
+                                const rt::RangeBody& body, PoolJob& job,
+                                const CancelToken* lease_cancel,
+                                rt::Watchdog& watchdog);
 
-  /// The master's turn on entry `seq`: honor its dependency edge,
-  /// participate as partition tid 0, and check into the countdown.
-  void run_entry_master(const platform::TeamLayout& layout, PoolJob& job,
-                        u64 seq);
-
-  /// Spin-then-block until entry `seq` has fully completed.
-  void wait_entry(PoolJob& job, u64 seq) {
-    job.entry_of(seq).gate.wait(seq, spin_budget_, yield_budget_);
-  }
-
-  /// Non-blocking completion probe (ring reuse guard for publishers).
-  [[nodiscard]] bool entry_complete(const PoolJob& job, u64 seq) const {
-    return job.entry_of(seq).gate.complete(seq);
-  }
-
-  /// Watchdog dump section for an in-flight entry on `layout`: the
-  /// scheduler's pool remainder plus the partition's dock generations
-  /// (atomic / racy-by-design reads only — the construct is live when it
-  /// runs). Both referents must outlive the armed watchdog entry; disarm
-  /// before the flush that invalidates them.
-  [[nodiscard]] rt::Watchdog::DumpFn make_watchdog_dump(
-      const platform::TeamLayout& layout,
-      const sched::LoopScheduler& sched, u64 seq) const;
-
-  [[nodiscard]] const platform::Platform& platform() const {
-    return platform_;
-  }
+  /// Execute a non-empty chain with nowait semantics on target.layout,
+  /// whose window for `job` is open: entry k runs as sequence
+  /// job.next_seq + k, with a scheduler leased from target.cache. The
+  /// master publishes while ring slots are free and otherwise runs its own
+  /// shares in chain order; it blocks only when the ring is full of
+  /// entries it already served, and at the chain-end flush. Entry tokens
+  /// bind the loop's spec token and `lease_cancel`; deadlines arm
+  /// `watchdog`. `boundary` (nullable) may move the partition between
+  /// entries. Errors are returned, never thrown.
+  [[nodiscard]] Result run_chain(const pipeline::LoopChain& chain,
+                                 PoolJob& job, Target target,
+                                 const CancelToken* lease_cancel,
+                                 rt::Watchdog& watchdog,
+                                 ChainBoundary* boundary = nullptr);
 
   /// Worker threads spawned so far (monotonic; never exceeds num_cores).
   [[nodiscard]] int spawned_workers() const {
@@ -185,14 +207,15 @@ class WorkerPool {
 
  private:
   /// Per-core dispatch mailbox. The non-atomic fields are the current
-  /// *window*: the owning job, this core's partition-local tid, and the
-  /// {generation, sequence} base pair mapping dock generations onto the
-  /// job's entry ring. All are plain fields ordered by the release-store
+  /// *window*: the owning job and partition, this core's partition-local
+  /// tid, and the {generation, sequence} base pair mapping dock
+  /// generations onto the job's entry ring. All are plain fields ordered by the release-store
   /// of `gen` (single publisher per dock — the owning master), and stable
   /// until the window is flushed.
   struct Dock {
     std::atomic<u64> gen{0};
     PoolJob* job = nullptr;
+    const platform::TeamLayout* layout = nullptr;
     int tid = 0;
     u64 base_gen = 0;  ///< dock generation of the window's first entry
     u64 base_seq = 0;  ///< job entry sequence of the window's first entry
@@ -200,18 +223,38 @@ class WorkerPool {
 
   struct CoreSlot {
     Padded<Dock> dock;
-    rt::Throttle throttle;   // fixed per core, set at pool construction
-    bool spawned = false;    // written only by the core's current owner
-    std::thread worker;
+    rt::Throttle throttle;  // fixed per core, set at pool construction
+    std::thread worker;     // started by the core's first window
   };
 
   void spawn(CoreSlot& slot, int core_id);
   void worker_main(CoreSlot& slot);
-  void participate(const platform::TeamLayout& layout,
-                   sched::LoopScheduler& sched, const rt::RangeBody& body,
-                   int tid, const rt::Throttle& throttle,
-                   CancelToken* token);
   u64 wait_for_dispatch(Dock& dock, u64 seen);
+  /// One member's turn on entry `seq` of the open window (master: tid 0):
+  /// honor its dependency edge, run its chunks, check into the countdown.
+  void run_entry(PoolJob& job, const platform::TeamLayout& layout, u64 seq,
+                 int tid, const rt::Throttle& throttle);
+  [[nodiscard]] const rt::Throttle& master_throttle(
+      const platform::TeamLayout& layout) const {
+    return slots_[static_cast<usize>(layout.core_of(0))].throttle;
+  }
+
+  /// Bump every worker dock of `layout` by one generation (publishing the
+  /// staged entry) and wake sleepers.
+  void publish_entry(const platform::TeamLayout& layout);
+  /// Spin-then-block until entry `seq` has fully completed.
+  void wait_entry(PoolJob& job, u64 seq) {
+    job.entry_of(seq).gate.wait(seq, spin_budget_, yield_budget_);
+  }
+  /// Arm the deadline of published entry `seq` when `deadline_ns` asks for
+  /// one. The watchdog dump quotes the scheduler's remainder and the
+  /// partition's dock generations (atomic / racy-by-design reads only).
+  void arm_deadline(rt::Watchdog& watchdog, i64 deadline_ns,
+                    const platform::TeamLayout& layout, PoolJob& job,
+                    u64 seq, const char* label);
+  /// Disarm a completed entry's deadline and return its captured error.
+  static std::exception_ptr harvest(rt::Watchdog& watchdog,
+                                    PoolJob::Entry& entry);
 
   platform::Platform platform_;
   Options options_;

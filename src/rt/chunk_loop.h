@@ -1,9 +1,10 @@
 // The chunk loop: one team member's share of a work-sharing construct.
 //
-// Both fork/join engines — rt::Team and pool::WorkerPool — hand every
-// participant (master and workers alike) to run_chunks(): take a range from
-// the loop's scheduler, run the body on it, charge the small-core throttle,
-// repeat until the scheduler runs dry or the construct is cancelled.
+// The dispatch engine (pool::WorkerPool, which rt::Team runs on too)
+// hands every participant (master and workers alike) to run_chunks(): take
+// a range from the loop's scheduler, run the body on it, charge the
+// small-core throttle, repeat until the scheduler runs dry or the
+// construct is cancelled.
 //
 // It runs once per chunk, so it is kept free of costs the AID algorithm
 // does not define: the wall clock is read only by members whose Throttle is

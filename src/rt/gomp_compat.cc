@@ -9,6 +9,7 @@
 #include "common/env.h"
 #include "common/padded.h"
 #include "common/spin_wait.h"
+#include "pool/worker_pool.h"
 #include "rt/runtime.h"
 #include "sched/iteration_space.h"
 #include "sched/loop_scheduler.h"
@@ -20,10 +21,11 @@ namespace {
 
 /// Work shares the region's generation ring holds in flight: how far a
 /// run-ahead thread may flow past the team's slowest straggler, exactly
-/// like a LoopChain over Team's ring. Same depth, same reuse discipline.
-constexpr u64 kRing = Team::kChainRing;
+/// like a LoopChain over the dispatch engine's entry ring. Same depth, same
+/// reuse discipline.
+constexpr u64 kRing = pool::PoolJob::kChainRing;
 
-/// Spin/yield budgets for the region's gate waits, mirroring Team's. The
+/// Spin/yield budgets for the region's gate waits, sized like a Team's. The
 /// environment *overrides* are latched once (mid-process env mutation is
 /// not a supported configuration channel, and re-reading per region fork
 /// would put two getenv+parse calls on the fast path the gomp_chain=

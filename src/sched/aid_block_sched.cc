@@ -63,8 +63,10 @@ void AidBlockScheduler::reset(i64 count) {
     // No sampling phase will rebalance later: arm the shards directly
     // proportional to the offline SF so the single AID block per thread is
     // served by its home shard. One arm, with the right weights (reset is
-    // single-threaded, so computing them first is safe).
-    if (pool_.nshards() > 1) {
+    // single-threaded, so computing them first is safe). Ask the topology,
+    // not the pool's current mode: before the first arm the pool still
+    // reports one shard.
+    if (pool_.topology_shards() > 1) {
       pool_.reset(count, shard_rates());
     } else {
       pool_.reset(count);

@@ -46,7 +46,7 @@ namespace aid::sched {
 class SchedulerCache {
  public:
   /// Idle instances retained per ScheduleSpec shape. Matches the runtime
-  /// chain rings (rt::Team::kChainRing / pool::PoolJob::kChainRing): a
+  /// chain rings (pool::PoolJob::kChainRing, which the GOMP ring shares): a
   /// chain can keep that many same-shape constructs in flight, each
   /// needing a live instance.
   static constexpr usize kInstancesPerShape = 8;

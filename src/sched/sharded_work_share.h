@@ -193,8 +193,11 @@ class ShardedWorkShare {
   /// nshards() reports whenever the pool runs sharded. Sizes weight
   /// buffers that callers fill once per phase.
   [[nodiscard]] int topology_shards() const { return nshards_; }
+  /// The tid's home shard in the topology, whatever the current loop's
+  /// mode (a single-mode take ignores it), so weights can be computed
+  /// before the first arm.
   [[nodiscard]] int home_of(int tid) const {
-    return single_mode_ ? 0 : topo_.home_of(tid);
+    return config_single_ ? 0 : topo_.home_of(tid);
   }
 
   /// Successful removals (all shards; parity with WorkShare::removals()).

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/env.h"
+#include "pipeline/loop_chain.h"
 #include "rt/runtime.h"
 #include "rt/runtime_config.h"
 #include "rt/team.h"
@@ -79,6 +80,53 @@ TEST(Team, WorkerInfoReflectsLayout) {
       EXPECT_EQ(t, team.layout().core_type_of(tid)) << tid;
     }
   }
+}
+
+TEST(Team, SmallFirstUndersizedTeamDispatchesByCore) {
+  // 3 threads SB-mapped on 2S+2B: tids 0,1 small, tid 2 big, core 3
+  // unused. Workers are indexed by layout().core_of(tid), so a wrong
+  // tid->core map shows as a wrong core type or a lost/doubled iteration.
+  Team team(platform::generic_amp(2, 2, 2.0), 3, Mapping::kSmallFirst,
+            /*emulate_amp=*/false);
+  ASSERT_EQ(team.nthreads(), 3);
+  std::atomic<int> type_mismatches{0};
+  const auto check_type = [&](const WorkerInfo& w) {
+    if (w.core_type != team.layout().core_type_of(w.tid))
+      type_mismatches.fetch_add(1);
+  };
+
+  constexpr i64 kCount = 3000;
+  std::vector<std::atomic<int>> hits(kCount);
+  for (auto& h : hits) h.store(0);
+  team.run_loop(kCount, ScheduleSpec::dynamic(1),
+                [&](i64 b, i64 e, const WorkerInfo& w) {
+                  check_type(w);
+                  for (i64 i = b; i < e; ++i)
+                    hits[static_cast<usize>(i)].fetch_add(1);
+                });
+  for (i64 i = 0; i < kCount; ++i)
+    ASSERT_EQ(hits[static_cast<usize>(i)].load(), 1) << "iteration " << i;
+
+  constexpr usize kLoops = 3 * Team::kChainRing + 1;
+  constexpr i64 kPerLoop = 257;
+  std::vector<std::atomic<int>> chain_hits(kLoops * kPerLoop);
+  for (auto& h : chain_hits) h.store(0);
+  pipeline::LoopChain chain;
+  for (usize l = 0; l < kLoops; ++l) {
+    chain.add(kPerLoop,
+              l % 2 == 0 ? ScheduleSpec::static_even()
+                         : ScheduleSpec::dynamic(4),
+              [&, l](i64 b, i64 e, const WorkerInfo& w) {
+                check_type(w);
+                for (i64 i = b; i < e; ++i)
+                  chain_hits[l * kPerLoop + static_cast<usize>(i)]
+                      .fetch_add(1);
+              });
+  }
+  team.run_chain(chain);
+  for (usize i = 0; i < chain_hits.size(); ++i)
+    ASSERT_EQ(chain_hits[i].load(), 1) << "chain slot " << i;
+  EXPECT_EQ(type_mismatches.load(), 0);
 }
 
 TEST(Team, EmptyLoopCompletes) {

@@ -219,5 +219,46 @@ TEST(AidBlock, ResetClearsEstimatorState) {
   EXPECT_EQ(r1.iterations, r2.iterations);
 }
 
+TEST(AidBlock, OfflineSfFirstArmSplitsShardsBySf) {
+  // A fresh aid-static(offline SF) instance must arm its shards by the
+  // offline SF on its FIRST reset, not by nominal capacity: with SF 4 on
+  // 2 small + 2 big (nominal 2.0), k = 1000 / (2·1 + 2·4) = 100, so the
+  // small shard holds [0, 200) and the big shard [200, 1000), and every
+  // thread's single AID block (100 small, 400 big) is served whole by its
+  // home shard. A nominal-capacity split (1/3 : 2/3) would clamp the
+  // second big block short at home.
+  const auto p = platform::generic_amp(2, 2, 2.0);
+  const platform::TeamLayout layout(p, 4, platform::Mapping::kBigFirst);
+  const ShardTopology topo = ShardTopology::from_layout(layout, 2);
+  ASSERT_EQ(topo.nshards(), 2);
+  auto sched = make_scheduler(ScheduleSpec::aid_static_offline(4.0), 1000,
+                              layout, topo);
+  const SteadyTimeSource clock;
+  const int small_shard = topo.home_of(layout.nthreads() - 1);
+  for (int tid = 0; tid < layout.nthreads(); ++tid) {
+    ThreadContext tc;
+    tc.tid = tid;
+    tc.core_type = layout.core_type_of(tid);
+    tc.speed = layout.speed_of(tid);
+    tc.shard = sched->home_shard_of(tid);
+    tc.time = &clock;
+    IterRange r;
+    ASSERT_TRUE(sched->next(tc, r)) << "tid " << tid;
+    const bool small = tc.shard == small_shard;
+    EXPECT_EQ(r.end - r.begin, small ? 100 : 400) << "tid " << tid;
+    if (small) {
+      EXPECT_GE(r.begin, 0) << "tid " << tid;
+      EXPECT_LE(r.end, 200) << "tid " << tid;
+    } else {
+      EXPECT_GE(r.begin, 200) << "tid " << tid;
+      EXPECT_LE(r.end, 1000) << "tid " << tid;
+    }
+  }
+  const SchedulerStats stats = sched->stats();
+  EXPECT_EQ(sched->remaining(), 0);
+  EXPECT_EQ(stats.local_removals, 4);
+  EXPECT_EQ(stats.steal_removals, 0);
+}
+
 }  // namespace
 }  // namespace aid::sched

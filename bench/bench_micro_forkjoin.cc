@@ -25,8 +25,9 @@
 //                    chain-end flush).
 //
 // The `shard=` config family measures the work-share pool itself under a
-// steal-heavy arming (the big cluster's shard holds 1/8 of the space, so
-// its threads drain home fast and then steal / bulk-migrate):
+// steal-heavy arming (the last home, a big-core one, holds 1/7 of any
+// other home's share, so its threads drain home fast and then steal /
+// bulk-migrate):
 //
 //   take_ns          — one take/steal round-trip (per-op, all threads);
 //   local_share_pct  — removals served by the taker's home shard, in %
@@ -35,7 +36,9 @@
 //   rebalances_per_run — contiguous blocks bulk-migrated per drain.
 //
 // shard=single is the classic one-line WorkShare, shard=sharded the
-// per-core-type ShardedWorkShare, shard=fallback1 the ShardedWorkShare
+// per-core-type ShardedWorkShare (what every schedule but AID-dynamic
+// runs on), shard=per_thread the ShardedWorkShare with one home per
+// thread (AID-dynamic's default), shard=fallback1 the ShardedWorkShare
 // forced to one shard (the AID_SHARDS=1 regression guard: it must stay
 // within noise of single). NOTE on 1-CPU hosts: all threads share one
 // L1, so the cross-cluster coherence cost the sharding removes is
@@ -337,12 +340,16 @@ void report_shard_family(bench::BenchJsonWriter& json, int nthreads,
       nthreads / 2 > 0 ? nthreads / 2 : 1, 2.0);
   const platform::TeamLayout layout(platform, nthreads,
                                     platform::Mapping::kBigFirst);
-  const sched::ShardTopology topo = sched::ShardTopology::from_layout(
+  const sched::ShardTopology per_thread = sched::ShardTopology::from_layout(
       layout, /*requested_shards=*/0);
-  // Steal-heavy arming: invert the capacity split so the faster cluster's
-  // threads drain home early and must steal or bulk-migrate.
-  std::vector<double> skew(static_cast<usize>(topo.nshards()), 7.0);
-  if (topo.nshards() > 1) skew.back() = 1.0;
+  // Steal-heavy arming: the last home (a big-core one) gets 1/7 of every
+  // other home's share, so its threads drain home early and must steal or
+  // bulk-migrate.
+  const auto skew_of = [](const sched::ShardTopology& topo) {
+    std::vector<double> skew(static_cast<usize>(topo.nshards()), 7.0);
+    if (topo.nshards() > 1) skew.back() = 1.0;
+    return skew;
+  };
 
   const auto label = [&](const char* kind) {
     char config[96];
@@ -371,9 +378,11 @@ void report_shard_family(bench::BenchJsonWriter& json, int nthreads,
                remote = pool.removals();
              }));
   }
-  {
-    sched::ShardedWorkShare pool(topo, nthreads);
-    emit(label("sharded"),
+  const auto emit_sharded = [&](const char* kind,
+                                const sched::ShardTopology& topo) {
+    sched::ShardedWorkShare pool(topo, nthreads, chunk);
+    const std::vector<double> skew = skew_of(topo);
+    emit(label(kind),
          measure_pool(
              nthreads, runs,
              [&](int tid) { return pool.take(chunk, tid, topo.home_of(tid)); },
@@ -383,7 +392,9 @@ void report_shard_family(bench::BenchJsonWriter& json, int nthreads,
                remote = pool.remote_removals();
                rebalances = pool.rebalances();
              }));
-  }
+  };
+  emit_sharded("sharded", per_thread.per_core_type(layout));
+  emit_sharded("per_thread", per_thread);
   {
     // AID_SHARDS=1 fallback: must stay within noise of shard=single.
     sched::ShardedWorkShare pool(sched::ShardTopology::single(nthreads),

@@ -31,10 +31,13 @@
 //   AID_POOL_POLICY   — pool arbitration policy: "equal" (default),
 //                       "big-priority", or "proportional".
 //   AID_SHARDS        — work-share pool sharding (sched/shard_topology.h):
-//                       unset/0 = one shard per populated core type (the
-//                       cluster-local default), 1 = classic single-pool
-//                       fallback, N>1 = cap the shard count. Read by the
-//                       runtime layers when they arm a construct's pool.
+//                       unset/0 = one home per team thread (at most 8;
+//                       the core-local default) for AID-dynamic, one per
+//                       core type for the other schedules, 1 = classic
+//                       single-pool fallback, N>1 = at most N homes (N =
+//                       the number of core types: one home per type).
+//                       Read by the runtime layers when they arm a
+//                       construct's pool.
 #pragma once
 
 #include <string>

@@ -109,8 +109,9 @@ class Team {
     return sched_cache_;
   }
 
-  /// The shard topology every construct of this team arms (one shard per
-  /// populated core type; AID_SHARDS overrides). Fixed for the team's
+  /// The shard topology every construct of this team arms (one home per
+  /// thread on an AMP layout, narrowed to one per core type for every
+  /// schedule but AID-dynamic; AID_SHARDS overrides). Fixed for the team's
   /// lifetime, so the GOMP surface reuses it instead of re-deriving one.
   [[nodiscard]] const sched::ShardTopology& shard_topology() const {
     return shard_topo_;

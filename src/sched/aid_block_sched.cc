@@ -12,7 +12,7 @@ AidBlockScheduler::AidBlockScheduler(i64 count,
                                      i64 chunk, double aid_fraction,
                                      std::optional<double> offline_sf,
                                      std::string name, ShardTopology topo)
-    : pool_(std::move(topo), layout.nthreads()),
+    : pool_(std::move(topo), layout.nthreads(), chunk > 0 ? chunk : 1),
       estimator_(layout.num_core_types()),
       count_(count),
       chunk_(chunk > 0 ? chunk : 1),
@@ -102,7 +102,7 @@ void AidBlockScheduler::finalize(ThreadContext& tc) {
   }
   if (pool_.nshards() > 1) {
     // Pre-position the shards for the uneven AID blocks: one bulk
-    // migration toward the measured per-cluster rates, instead of every
+    // migration toward the measured per-home rates, instead of every
     // thread clamping short at home and draining the tail remotely.
     pool_.rebalance(shard_rates(), /*min_block=*/chunk_, tc.tid);
   }

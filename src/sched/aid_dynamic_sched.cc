@@ -7,15 +7,13 @@
 
 namespace aid::sched {
 
-static_assert(ShardedWorkShare::kMaxShards >= kMaxCoreTypes,
-              "one shard per core type must fit rebalance()'s stack snapshot");
-
 AidDynamicScheduler::AidDynamicScheduler(i64 count,
                                          const platform::TeamLayout& layout,
                                          i64 minor_chunk, i64 major_chunk,
                                          bool endgame_enabled,
                                          ShardTopology topo)
-    : pool_(std::move(topo), layout.nthreads()),
+    : pool_(std::move(topo), layout.nthreads(),
+            minor_chunk > 0 ? minor_chunk : 1),
       estimator_(layout.num_core_types()),
       count_(count),
       minor_chunk_(minor_chunk > 0 ? minor_chunk : 1),
@@ -65,17 +63,29 @@ void AidDynamicScheduler::close_phase(int tid) {
       break;
     }
   }
-  if (pool_.nshards() > 1 && !endgame_.load(std::memory_order_relaxed)) {
-    // Imbalance estimator feeding the bulk-rebalance path: a shard's rate
+  // No phase closes once the endgame is on (endgame takes record
+  // nothing), so every close runs this.
+  i64 left;
+  if (pool_.nshards() > 1) {
+    // Imbalance estimator feeding the bulk-rebalance path: a home's rate
     // is the sum of its member threads' measured progress ratios, so the
-    // cluster the SF says will finish early receives a contiguous block
-    // now instead of chunk-stealing it remotely later.
+    // home the SF says will finish early receives a contiguous block now
+    // instead of chunk-stealing it remotely later.
     std::fill(shard_rate_.begin(), shard_rate_.end(), 0.0);
     for (int t = 0; t < nthreads_; ++t)
       shard_rate_[static_cast<usize>(pool_.home_of(t))] +=
           ratio_[static_cast<usize>(type_of_tid_[static_cast<usize>(t)])];
-    pool_.rebalance(shard_rate_, /*min_block=*/major_chunk_, tid);
+    pool_.rebalance(shard_rate_, /*min_block=*/major_chunk_, tid, &left);
+  } else {
+    left = pool_.remaining();
   }
+  // Fig. 5 caption optimization: with only M·(NB+NS) iterations left, a
+  // full AID allotment could strand the tail on one thread; finish with
+  // dynamic(m) instead. Decided once per phase, on the snapshot above, so
+  // entrants read a flag instead of scanning every home's segment words;
+  // the epoch release-increment below publishes it to the next phase.
+  if (endgame_enabled_ && left <= major_chunk_ * nthreads_)
+    endgame_.store(true, std::memory_order_relaxed);
   phases_completed_.fetch_add(1, std::memory_order_relaxed);
   estimator_.reset(nthreads_);
   epoch_.fetch_add(1, std::memory_order_acq_rel);
@@ -92,12 +102,9 @@ bool AidDynamicScheduler::steal_minor(PerThread& pt, const ThreadContext& tc,
 
 bool AidDynamicScheduler::enter_phase(ThreadContext& tc, PerThread& pt,
                                       IterRange& out) {
-  // Fig. 5 caption optimization: with only M·(NB+NS) iterations left, a full
-  // AID allotment could strand the tail on one thread; finish with
-  // dynamic(m) instead.
-  if (should_endgame()) {
-    endgame_.store(true, std::memory_order_release);
-    pt.state = State::kWait;
+  // The closer of the phase just ended may have switched to the endgame
+  // (the epoch acquire that led here makes its flag visible).
+  if (endgame_.load(std::memory_order_relaxed)) {
     return steal_minor(pt, tc, out, /*count_delta=*/false);
   }
 
@@ -143,15 +150,10 @@ bool AidDynamicScheduler::next(ThreadContext& tc, IterRange& out) {
   PerThread& pt = *per_thread_[static_cast<usize>(tc.tid)];
 
   if (endgame_.load(std::memory_order_acquire)) {
-    // Terminal mode: conventional dynamic(m) to the end of the loop.
-    if (pt.state == State::kHaveBlock) {
-      // Account the in-flight block first so the estimator never waits on a
-      // thread that slipped into the endgame mid-phase.
-      if (estimator_.record(tc.core_type, tc.now() - pt.block_start,
-                            pt.block_iters))
-        close_phase(tc.tid);
-      pt.state = State::kWait;
-    }
+    // Terminal mode: conventional dynamic(m) to the end of the loop. Only
+    // a phase close sets the flag, and a phase closes only after every
+    // thread recorded its block, so no block is in flight here.
+    AID_DCHECK(pt.state != State::kHaveBlock);
     return steal_minor(pt, tc, out, /*count_delta=*/false);
   }
 

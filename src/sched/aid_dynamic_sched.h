@@ -14,7 +14,10 @@
 // Endgame optimization (Fig. 5 caption): as soon as the remaining iteration
 // count is no greater than M·(NB+NS), the scheduler switches everyone to
 // plain dynamic(m), which removes the end-of-loop imbalance that makes
-// conventional dynamic so chunk-sensitive (paper Sec. 5B / Fig. 8).
+// conventional dynamic so chunk-sensitive (paper Sec. 5B / Fig. 8). The
+// check runs once per phase, in the phase close, on the remainder snapshot
+// the shard rebalance takes anyway: the endgame starts with the first
+// phase whose close leaves at most M·(NB+NS) iterations.
 //
 // The design is non-blocking throughout: "waiting" threads steal m-chunks
 // (their count δᵢ is deducted from the next allotment), and a drained pool
@@ -80,9 +83,9 @@ class AidDynamicScheduler final : public LoopScheduler {
   };
 
   /// Last thread of a phase: recompute R from the estimator, bulk-rebalance
-  /// the shards toward the new per-cluster rates, re-arm the estimator and
-  /// publish the next epoch. `tid` is the closing thread (it owns the
-  /// migration and its rebalance counter).
+  /// the homes toward the new per-home rates, decide the endgame, re-arm
+  /// the estimator and publish the next epoch. `tid` is the closing thread
+  /// (it owns the migration and its rebalance counter).
   void close_phase(int tid);
 
   /// Try to enter the current phase: take the uneven allotment (or record a
@@ -92,10 +95,6 @@ class AidDynamicScheduler final : public LoopScheduler {
 
   bool steal_minor(PerThread& pt, const ThreadContext& tc, IterRange& out,
                    bool count_delta);
-
-  [[nodiscard]] bool should_endgame() const {
-    return endgame_enabled_ && pool_.remaining() <= major_chunk_ * nthreads_;
-  }
 
   ShardedWorkShare pool_;
 

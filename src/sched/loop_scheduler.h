@@ -72,7 +72,7 @@ class LoopScheduler {
 
   /// Home shard of one thread in this construct's pool. The runtime copies
   /// it into ThreadContext::shard before the next() loop so every take
-  /// lands cluster-local; shard membership therefore follows whatever
+  /// lands on the thread's home; home membership therefore follows whatever
   /// layout the scheduler was built from (coherent across repartitions —
   /// a new partition means a new scheduler, hence a new topology).
   /// Pool-backed schedulers override; the default covers pool-less ones.
@@ -95,8 +95,9 @@ class LoopScheduler {
 
 /// Shard-aware overload: the runtime (Team / WorkerPool / GOMP surface)
 /// passes a ShardTopology derived from the executing layout, giving every
-/// pool-backed scheduler a per-core-type sharded pool with cluster-local
-/// takes (sharded_work_share.h).
+/// pool-backed scheduler a sharded pool with home-local takes
+/// (sharded_work_share.h): AID-dynamic gets `topo` as is, every other
+/// schedule topo.per_core_type(layout).
 [[nodiscard]] std::unique_ptr<LoopScheduler> make_scheduler(
     const ScheduleSpec& spec, i64 count, const platform::TeamLayout& layout,
     const ShardTopology& topo);

@@ -21,39 +21,78 @@ ShardTopology ShardTopology::from_layout(const platform::TeamLayout& layout) {
 
 ShardTopology ShardTopology::from_layout(const platform::TeamLayout& layout,
                                          int requested_shards) {
-  // Shards are the *populated* core types: a type no team thread sits on
+  // Homes serve *populated* core types only: a type no team thread sits on
   // must not own iterations (nobody would drain them without stealing).
-  std::vector<int> populated;
-  for (int t = 0; t < layout.num_core_types(); ++t)
-    if (layout.threads_of_type(t) > 0) populated.push_back(t);
-  AID_CHECK(!populated.empty());
-
-  int eff = requested_shards <= 0 ? static_cast<int>(populated.size())
-                                  : requested_shards;
-  eff = std::min(eff, static_cast<int>(populated.size()));
-  eff = std::max(eff, 1);
-  // One shard == the classic single pool: return the empty topology so
+  const int ntypes = layout.num_core_types();
+  std::vector<int> nhomes(static_cast<usize>(ntypes), 0);
+  int populated = 0;
+  for (int t = 0; t < ntypes; ++t) {
+    if (layout.threads_of_type(t) > 0) {
+      nhomes[static_cast<usize>(t)] = 1;
+      ++populated;
+    }
+  }
+  AID_CHECK(populated > 0);
+  int cap = requested_shards <= 0 ? kMaxShards : requested_shards;
+  cap = std::min({cap, kMaxShards, layout.nthreads()});
+  // One home == the classic single pool: return the empty topology so
   // nothing is allocated here or copied per construct (uniform layouts
   // and AID_SHARDS=1 arm thousands of loops through this path).
-  if (eff == 1) return {};
+  if (populated < 2 || cap < 2) return {};
 
-  // type -> shard (excess populated types merge into the last shard when
-  // AID_SHARDS caps the count below the type count).
-  std::vector<int> shard_of_type(
-      static_cast<usize>(layout.num_core_types()), 0);
-  for (usize i = 0; i < populated.size(); ++i)
-    shard_of_type[static_cast<usize>(populated[i])] =
-        std::min(static_cast<int>(i), eff - 1);
+  // Spare homes go one at a time to the type with the most threads per
+  // home, so members spread evenly and no type gets more homes than
+  // threads.
+  for (int spare = cap - populated; spare > 0; --spare) {
+    int best = -1;
+    double best_load = 1.0;
+    for (int t = 0; t < ntypes; ++t) {
+      if (nhomes[static_cast<usize>(t)] == 0) continue;
+      const double load = static_cast<double>(layout.threads_of_type(t)) /
+                          nhomes[static_cast<usize>(t)];
+      if (load > best_load) {
+        best_load = load;
+        best = t;
+      }
+    }
+    if (best < 0) break;  // every thread already has its own home
+    ++nhomes[static_cast<usize>(best)];
+  }
+
+  // Homes are numbered type by type, slowest type first, so the initial
+  // contiguous split keeps the per-type order of the canonical space.
+  // With a cap below the populated type count, the excess types merge
+  // into the last home (the only case where a home mixes types).
+  std::vector<int> first_home(static_cast<usize>(ntypes), 0);
+  int nshards = 0;
+  for (int t = 0; t < ntypes; ++t) {
+    first_home[static_cast<usize>(t)] = std::min(nshards, cap - 1);
+    nshards = std::min(nshards + nhomes[static_cast<usize>(t)], cap);
+  }
 
   ShardTopology topo;
-  topo.capacity.assign(static_cast<usize>(eff), 0.0);
+  topo.capacity.assign(static_cast<usize>(nshards), 0.0);
   topo.home_of_tid.resize(static_cast<usize>(layout.nthreads()));
+  std::vector<int> rank(static_cast<usize>(ntypes), 0);
   for (int tid = 0; tid < layout.nthreads(); ++tid) {
-    const int s = shard_of_type[static_cast<usize>(layout.core_type_of(tid))];
-    topo.home_of_tid[static_cast<usize>(tid)] = s;
-    topo.capacity[static_cast<usize>(s)] += layout.speed_of(tid);
+    const int t = layout.core_type_of(tid);
+    const usize ut = static_cast<usize>(t);
+    // Contiguous blocks of same-type tids share a home.
+    const int h = first_home[ut] +
+                  rank[ut]++ * nhomes[ut] / layout.threads_of_type(t);
+    topo.home_of_tid[static_cast<usize>(tid)] = h;
+    topo.capacity[static_cast<usize>(h)] += layout.speed_of(tid);
   }
   return topo;
+}
+
+ShardTopology ShardTopology::per_core_type(
+    const platform::TeamLayout& layout) const {
+  int populated = 0;
+  for (int t = 0; t < layout.num_core_types(); ++t)
+    if (layout.threads_of_type(t) > 0) ++populated;
+  if (nshards() <= populated) return *this;
+  return from_layout(layout, populated);
 }
 
 }  // namespace aid::sched

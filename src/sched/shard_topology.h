@@ -1,25 +1,37 @@
-// Shard layout for per-core-type iteration pools.
+// Home layout for the sharded iteration pool.
 //
 // A ShardTopology maps every team thread to a *home shard* — the pool
-// partition whose hot {next, end} line only same-cluster threads write on
-// the fast path (see sched/sharded_work_share.h and src/sched/README.md).
-// Shards correspond to the populated core types of a TeamLayout: on a
-// big.LITTLE team there is one big-core shard and one small-core shard, so
-// the self-scheduling fetch-and-add traffic of each cluster stays
-// cluster-local (the Catalán et al. / Krishna & Balachandran partitioning
-// argument, PAPERS.md).
+// partition whose segment words only that home's members write on the
+// fast path (see sched/sharded_work_share.h and src/sched/README.md).
+// By default every team thread gets a home of its own, with a capacity
+// equal to its nominal speed: the common-case removal is then a
+// core-local RMW, and cross-core traffic happens per steal or per bulk
+// migration (the Catalán et al. / Krishna & Balachandran partitioning
+// argument, PAPERS.md). At most kMaxShards homes exist; on larger teams
+// same-type threads share homes (contiguous tid blocks, spread evenly),
+// and a home never mixes core types. A layout with one populated core
+// type keeps the classic single pool.
+//
+// make_scheduler gives these per-thread homes to AID-dynamic, the schedule
+// they were measured for; every other pool-backed schedule runs on
+// per_core_type(), at most one home per populated core type
+// (src/sched/README.md, "Shard layout").
 //
 // The topology is *mechanism description*, not policy: it is computed once
 // per construct from the layout that will execute it, which is what keeps
-// shard membership coherent across pool repartitions — a partition change
+// home membership coherent across pool repartitions — a partition change
 // commits between ring entries (pool/pool_manager.cc), and every entry's
 // scheduler is built from the layout current at publish time.
 //
-// AID_SHARDS environment override (read by from_layout()):
-//   unset / 0  — auto: one shard per populated core type;
+// AID_SHARDS environment override (read by from_layout()) — "at most N
+// homes":
+//   unset / 0  — auto: one home per thread (up to kMaxShards);
 //   1          — single-shard fallback: bit-for-bit the classic WorkShare
 //                path (the symmetric-layout / regression-proof mode);
-//   N > 1      — at most N shards (excess core types merge into the last).
+//   N > 1      — at most N homes, shared by same-type threads. N equal to
+//                the number of populated core types is one home per core
+//                type; below that, the excess types merge into the last
+//                home (and the other schedules get the same narrowing).
 #pragma once
 
 #include <vector>
@@ -30,6 +42,11 @@
 namespace aid::sched {
 
 struct ShardTopology {
+  /// Upper bound on homes: the pool keeps per-home snapshots on the stack
+  /// (ShardedWorkShare::rebalance) and scans every home when its own
+  /// drains. Both of the paper's 4+4 platforms get one home per thread.
+  static constexpr int kMaxShards = 8;
+
   /// tid -> home shard id. Empty means "single shard" (the default for
   /// every caller that does not opt into sharding, e.g. the simulator).
   std::vector<int> home_of_tid;
@@ -51,14 +68,21 @@ struct ShardTopology {
   /// One shard holding every thread — the classic single-pool behavior.
   [[nodiscard]] static ShardTopology single(int nthreads);
 
-  /// One shard per populated core type of `layout`, honoring the
-  /// AID_SHARDS environment override (see file comment).
+  /// One home per thread of `layout` (see file comment), honoring the
+  /// AID_SHARDS environment override.
   [[nodiscard]] static ShardTopology from_layout(
       const platform::TeamLayout& layout);
 
-  /// Explicit shard count (<= populated core types; <=0 means auto).
+  /// At most `requested_shards` homes (<=0 means auto: kMaxShards).
   [[nodiscard]] static ShardTopology from_layout(
       const platform::TeamLayout& layout, int requested_shards);
+
+  /// This topology with at most one home per populated core type of
+  /// `layout` (the layout it was derived from): itself when it already has
+  /// no more homes than that (single pool, AID_SHARDS=2 on two types),
+  /// else from_layout(layout, populated types).
+  [[nodiscard]] ShardTopology per_core_type(
+      const platform::TeamLayout& layout) const;
 };
 
 }  // namespace aid::sched

@@ -1,12 +1,15 @@
 #include "sched/sharded_work_share.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace aid::sched {
 
-ShardedWorkShare::ShardedWorkShare(ShardTopology topo, int nthreads)
+ShardedWorkShare::ShardedWorkShare(ShardTopology topo, int nthreads,
+                                   i64 grain)
     : topo_(std::move(topo)),
       nthreads_(nthreads > 0 ? nthreads : 1),
+      grain_(grain > 0 ? grain : 1),
       single_(nthreads) {
   // An empty topology IS the single-shard configuration: nothing beyond
   // the embedded WorkShare is allocated, so a single-pool construct costs
@@ -63,8 +66,8 @@ void ShardedWorkShare::reset(i64 count, const std::vector<double>& weights) {
   double wsum = 0.0;
   for (const double w : weights) wsum += w > 0.0 ? w : 0.0;
   // Contiguous proportional split: shard s gets [B_s, B_{s+1}) with the
-  // boundaries at the rounded cumulative weight fractions; zero/degenerate
-  // weights fall back to an even split.
+  // boundaries at the cumulative weight fractions, rounded to the nearest
+  // grain multiple; zero/degenerate weights fall back to an even split.
   i64 prev = 0;
   double acc = 0.0;
   for (int s = 0; s < nshards_; ++s) {
@@ -75,9 +78,10 @@ void ShardedWorkShare::reset(i64 count, const std::vector<double>& weights) {
     if (s + 1 == nshards_) {
       bound = count;
     } else if (wsum > 0.0) {
-      bound = std::llround(static_cast<double>(count) * acc / wsum);
+      bound = grain_round(
+          std::llround(static_cast<double>(count) * acc / wsum));
     } else {
-      bound = count * (s + 1) / nshards_;
+      bound = grain_round(count * (s + 1) / nshards_);
     }
     if (bound < prev) bound = prev;
     if (bound > count) bound = count;
@@ -95,9 +99,9 @@ IterRange ShardedWorkShare::take_stealing(i64 want, int tid, int home) {
     const int s = (home + k) % nshards_;
     const i64 avail = remaining_of_shard(s);
     if (avail <= 0) continue;
-    // Fat victim: move half of its remainder home in ONE cross-cluster
-    // CAS, then resume cluster-local removals — the bulk-rebalance case
-    // that keeps cross-cluster traffic per-block instead of per-chunk.
+    // Fat victim: move half of its remainder home in ONE cross-core CAS,
+    // then resume home-local removals — the bulk-rebalance case that
+    // keeps cross-core traffic per-block instead of per-chunk.
     const i64 bulk_min =
         want * 4 > kBulkStealMin ? want * 4 : kBulkStealMin;
     if (avail >= bulk_min &&
@@ -168,18 +172,21 @@ bool ShardedWorkShare::migrate(int from, int to, i64 want_block,
     for (;;) {
       const i64 n = unpack_next(w);
       const i64 e = unpack_end(w);
-      const i64 avail = e - n;
-      if (avail < 2 * min_block) break;  // donor keeps at least min_block
-      const i64 cap = avail - min_block;
-      const i64 b = want_block < cap ? want_block : cap;
-      if (b < min_block) break;
-      if (word.compare_exchange_weak(w, pack(n, e - b),
+      // Cut point p on a grain boundary: the block [p, e) as close to
+      // want_block as the grain allows without exceeding it or leaving
+      // the donor under min_block, widened to min_block if the grain
+      // rounds it below.
+      i64 p = grain_up(std::max(e - want_block, n + min_block));
+      if (e - p < min_block) p = grain_down(e - min_block);
+      if (p < n + min_block) break;
+      if (word.compare_exchange_weak(w, pack(n, p),
                                      std::memory_order_acq_rel,
                                      std::memory_order_acquire)) {
-        // The cut linearized at a state where next == n <= e - b, and
-        // claims are prefixes [0, next): no outstanding claim reaches
-        // into [e - b, e) — we own the block exclusively.
-        if (install(to, e - b, e)) {
+        // The cut linearized at a state where next == n <= p, and claims
+        // are prefixes [0, next): no outstanding claim reaches into
+        // [p, e) — we own the block exclusively.
+        const i64 b = e - p;
+        if (install(to, p, e)) {
           Counters& c = counters_[static_cast<usize>(tid)];
           c.rebalances.fetch_add(1, std::memory_order_relaxed);
           c.rebalanced_iters.fetch_add(b, std::memory_order_relaxed);
@@ -187,15 +194,15 @@ bool ShardedWorkShare::migrate(int from, int to, i64 want_block,
         } else {
           // Every slot of `to` went live since the probe (a racing
           // migration installed there): merge the block back into the
-          // donor. Its end is still e - b (we hold migrating_), so the
-          // block stays adjacent; a cursor that overshot past e - b
-          // represents discarded (empty) claims, so winding it back to
-          // e - b re-exposes only iterations nobody was handed.
+          // donor. Its end is still p (we hold migrating_), so the block
+          // stays adjacent; a cursor that overshot past p represents
+          // discarded (empty) claims, so winding it back to p re-exposes
+          // only iterations nobody was handed.
           u64 cur = word.load(std::memory_order_relaxed);
           for (;;) {
-            AID_DCHECK(unpack_end(cur) == e - b);
+            AID_DCHECK(unpack_end(cur) == p);
             const i64 nc = unpack_next(cur);
-            const i64 new_next = nc < e - b ? nc : e - b;
+            const i64 new_next = nc < p ? nc : p;
             if (word.compare_exchange_weak(cur, pack(new_next, e),
                                            std::memory_order_acq_rel,
                                            std::memory_order_relaxed))
@@ -211,21 +218,24 @@ bool ShardedWorkShare::migrate(int from, int to, i64 want_block,
 }
 
 bool ShardedWorkShare::rebalance(const std::vector<double>& weights,
-                                 i64 min_block, int tid) {
-  if (single_mode_) return false;
+                                 i64 min_block, int tid, i64* remaining) {
+  if (single_mode_) {
+    if (remaining != nullptr) *remaining = single_.remaining();
+    return false;
+  }
   AID_CHECK(static_cast<int>(weights.size()) == nshards_);
   AID_CHECK(tid >= 0 && static_cast<usize>(tid) < counters_.size());
-  double wsum = 0.0;
-  for (const double w : weights) wsum += w > 0.0 ? w : 0.0;
-  if (wsum <= 0.0) return false;
-
   i64 rem[kMaxShards] = {};
   i64 total = 0;
   for (int s = 0; s < nshards_; ++s) {
     rem[s] = remaining_of_shard(s);
     total += rem[s];
   }
+  if (remaining != nullptr) *remaining = total;
   if (total <= 0) return false;
+  double wsum = 0.0;
+  for (const double w : weights) wsum += w > 0.0 ? w : 0.0;
+  if (wsum <= 0.0) return false;
 
   // One block per call, from the shard most over its weight-proportional
   // target to the shard most under it (the imbalance estimator's verdict

@@ -1,15 +1,16 @@
-// Per-core-type sharded iteration pool.
+// Sharded iteration pool: one home segment set per team thread.
 //
 // The single fetch-add WorkShare (work_share.h) makes every removal an RMW
-// on one cache line shared by all clusters of an asymmetric CPU; at high
+// on one cache line shared by every core of an asymmetric CPU; at high
 // thread counts the runtime overhead the paper measures (Sec. 4.2) is
-// dominated by that cross-cluster coherence traffic, not by useful
-// removals. ShardedWorkShare splits the canonical space into one shard per
-// core type (generalized to N clusters via ShardTopology): each shard's
-// hot {next, end} state lives alone in its own cache line and is written
-// only by its home cluster on the fast path, so the common-case removal is
-// a *cluster-local* RMW. Cross-cluster traffic happens per *steal* or per
-// *bulk rebalance* — not per chunk.
+// dominated by that coherence traffic, not by useful removals.
+// ShardedWorkShare splits the canonical space into *homes* (ShardTopology:
+// one per team thread for AID-dynamic, at most kMaxShards, one per core
+// type for the other schedules; never mixing core types): each home's hot
+// segment words live alone in their own cache lines and are written only
+// by the home's members on the fast path, so the common-case removal is a
+// home-local RMW (core-local for a one-thread home). Cross-core traffic
+// happens per *steal* or per *bulk migration* — not per chunk.
 //
 // Mechanics (full design note + memory-ordering argument in
 // src/sched/README.md):
@@ -21,9 +22,15 @@
 //    clamp is computed from an atomic snapshot: no torn {next, end} pair
 //    can ever be observed. Takes larger than kFetchAddWantMax go through a
 //    CAS so the low half cannot carry into the end bits.
+//  * Grain: reset() seams and migrate() cuts land on multiples of the
+//    scheduler's grain (its chunk; m for AID-dynamic), so every segment
+//    starts on a grain boundary and ends on one or at the loop's end. A
+//    grain-sized take therefore never clamps short except at the global
+//    last chunk: dynamic(c) hands out exactly ceil(count / c) ranges
+//    however many homes the space is split into.
 //  * take(want, tid, home): fetch_add on the home shard; when home drains,
 //    scan the other shards — migrating HALF of a fat victim's remainder
-//    into the home shard in one CAS (bulk rebalance) or, for thin
+//    into the home shard in one CAS (bulk migration) or, for thin
 //    victims, removing a single chunk remotely (steal).
 //  * rebalance(weights): the estimator-driven path — the AID schedulers
 //    feed their measured speedup factors in after each phase, and one
@@ -31,9 +38,9 @@
 //    shard that would finish early.
 //  * Exactly-once: every ownership transfer (take, cut, install) is a
 //    single CAS/fetch_add on one segment word, so transfers linearize per
-//    segment; a cut [e-b, e) can only succeed when the same atomic
-//    snapshot shows next <= e-b, and takers advance next only — the cut
-//    block can never overlap a claim (README has the full argument).
+//    segment; a cut [p, e) can only succeed when the same atomic snapshot
+//    shows next <= p, and takers advance next only — the cut block can
+//    never overlap a claim (README has the full argument).
 //
 // Fallback: with one shard (AID_SHARDS=1, a uniform layout, a
 // default-constructed topology, or a loop too large for the 32-bit
@@ -69,15 +76,16 @@ class ShardedWorkShare {
   /// Minimum remainder a foreign shard must hold before the steal path
   /// bulk-migrates instead of removing one chunk remotely.
   static constexpr i64 kBulkStealMin = 64;
-  /// Shards per pool: one per populated core type, so the estimator's
-  /// kMaxCoreTypes bounds it. Lets rebalance() keep its per-shard snapshot
-  /// on the stack.
-  static constexpr int kMaxShards = 8;
+  /// Shards per pool (ShardTopology caps its homes here). Lets
+  /// rebalance() keep its per-shard snapshot on the stack.
+  static constexpr int kMaxShards = ShardTopology::kMaxShards;
 
   /// `topo` assigns every tid a home shard (empty topology = one shard:
   /// the classic pool, with zero extra allocation); `nthreads` sizes the
-  /// per-thread counter slots, as in WorkShare.
-  explicit ShardedWorkShare(ShardTopology topo = {}, int nthreads = 1);
+  /// per-thread counter slots, as in WorkShare; `grain` is the unit that
+  /// seams and migration cuts align to (see file comment).
+  explicit ShardedWorkShare(ShardTopology topo = {}, int nthreads = 1,
+                            i64 grain = 1);
 
   /// Arm for a loop of `count` canonical iterations, split across shards
   /// proportional to the topology's nominal capacities.
@@ -106,7 +114,7 @@ class ShardedWorkShare {
   }
 
   /// Remove with a size recomputed from the *segment's* remaining count
-  /// (guided semantics become per-cluster under sharding; with one shard
+  /// (guided semantics become per-home under sharding; with one shard
   /// this is exactly WorkShare::take_adaptive). Pure CAS — never
   /// overshoots, so it needs no fetch_add want cap.
   template <typename WantFn>
@@ -164,8 +172,12 @@ class ShardedWorkShare {
   /// iterations from the most over-provisioned shard (vs. a
   /// weight-proportional split of the global remainder) to the most
   /// under-provisioned one. Returns true when a block actually moved.
-  /// Safe to call concurrently with takes/steals from any thread.
-  bool rebalance(const std::vector<double>& weights, i64 min_block, int tid);
+  /// Safe to call concurrently with takes/steals from any thread. When
+  /// `remaining` is given, it receives the remainder snapshot the decision
+  /// was made on (what remaining() would have returned), so a caller that
+  /// needs both pays one scan of the segment words.
+  bool rebalance(const std::vector<double>& weights, i64 min_block, int tid,
+                 i64* remaining = nullptr);
 
   /// Iterations not yet handed out (may be stale under concurrency).
   [[nodiscard]] i64 remaining() const {
@@ -323,11 +335,12 @@ class ShardedWorkShare {
   /// shard or chunk-steal from a thin one.
   IterRange take_stealing(i64 want, int tid, int home);
 
-  /// Cut up to `want_block` iterations (at least `min_block`, leaving the
-  /// donor at least `min_block`) off the top of shard `from` and install
-  /// them as a fresh segment of shard `to`. Returns false without cutting
-  /// when `to` shows no drained slot. Serialized by migrating_ so a cut
-  /// block can always be merged back if a racing migrator took the slot.
+  /// Cut about `want_block` iterations (at least `min_block`, leaving the
+  /// donor at least `min_block`, the cut on a grain boundary) off the top
+  /// of shard `from` and install them as a fresh segment of shard `to`.
+  /// Returns false without cutting when `to` shows no drained slot.
+  /// Serialized by migrating_ so a cut block can always be merged back if
+  /// a racing migrator took the slot.
   bool migrate(int from, int to, i64 want_block, i64 min_block, int tid);
 
   /// Read-only probe: does shard `s` have a drained segment slot that an
@@ -351,9 +364,19 @@ class ShardedWorkShare {
     return sum;
   }
 
+  /// Round `i` to the nearest multiple of grain_, or down / up to one.
+  [[nodiscard]] i64 grain_round(i64 i) const {
+    return (i + grain_ / 2) / grain_ * grain_;
+  }
+  [[nodiscard]] i64 grain_down(i64 i) const { return i / grain_ * grain_; }
+  [[nodiscard]] i64 grain_up(i64 i) const {
+    return (i + grain_ - 1) / grain_ * grain_;
+  }
+
   ShardTopology topo_;
   int nshards_ = 1;
   int nthreads_ = 1;
+  i64 grain_ = 1;
   bool config_single_ = true;  ///< topology has one shard: always delegate
   bool single_mode_ = true;    ///< set per reset(): 1 shard or oversized loop
   i64 count_ = 0;

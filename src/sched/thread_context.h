@@ -18,7 +18,7 @@ struct ThreadContext {
   double speed = 1.0;   ///< nominal relative speed of the bound core
   /// Home shard in the construct's sharded pool (sched/shard_topology.h):
   /// the runtime sets it from LoopScheduler::home_shard_of(tid) so a
-  /// scheduler's take path stays cluster-local without re-deriving the
+  /// scheduler's take path stays on its home without re-deriving the
   /// mapping per call. 0 for single-pool constructs and the simulator.
   int shard = 0;
   const TimeSource* time = nullptr;  ///< per-worker in the simulator

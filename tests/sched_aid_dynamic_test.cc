@@ -3,7 +3,11 @@
 // optimization.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/time_source.h"
 #include "sched/aid_dynamic_sched.h"
+#include "sched/shard_topology.h"
 #include "test_util.h"
 
 namespace aid::sched {
@@ -139,6 +143,73 @@ TEST(AidDynamic, ResetReplaysIdentically) {
   const auto r2 = simulator.run(*sched, 2000, *cost);
   EXPECT_EQ(r1.completion_ns, r2.completion_ns);
   EXPECT_EQ(r1.iterations, r2.iterations);
+}
+
+// The endgame is decided by the phase closer, on the remainder it sees:
+// in_endgame() turns true at the first close that leaves at most
+// M·nthreads iterations and never earlier. Driven single-threaded, round
+// robin, so the remainder just before the closing next() call is exactly
+// the closer's snapshot.
+TEST(AidDynamic, EndgameStartsAtTheQualifyingPhaseClose) {
+  const auto p = amp_2s2b(3.0);
+  const platform::TeamLayout layout(p, 4, platform::Mapping::kBigFirst);
+  constexpr i64 kMajor = 5;
+  const i64 threshold = kMajor * layout.nthreads();
+  for (const int shards : {1, 0}) {  // single pool / one home per thread
+    const ShardTopology topo = ShardTopology::from_layout(layout, shards);
+    auto sched = make_scheduler(ScheduleSpec::aid_dynamic(1, kMajor), 400,
+                                layout, topo);
+    auto* aid = dynamic_cast<AidDynamicScheduler*>(sched.get());
+    ASSERT_NE(aid, nullptr);
+    ManualTimeSource clock;
+    std::vector<ThreadContext> tcs(static_cast<usize>(layout.nthreads()));
+    for (int tid = 0; tid < layout.nthreads(); ++tid) {
+      ThreadContext& tc = tcs[static_cast<usize>(tid)];
+      tc.tid = tid;
+      tc.core_type = layout.core_type_of(tid);
+      tc.speed = layout.speed_of(tid);
+      tc.shard = sched->home_shard_of(tid);
+      tc.time = &clock;
+    }
+    std::vector<bool> done(tcs.size(), false);
+    i64 closes = 0;
+    i64 delivered = 0;
+    bool qualifying_close_seen = false;
+    for (usize live = tcs.size(); live > 0;) {
+      for (usize t = 0; t < tcs.size(); ++t) {
+        if (done[t]) continue;
+        const i64 before = sched->remaining();
+        const bool was_endgame = aid->in_endgame();
+        clock.advance(tcs[t].core_type == 0 ? 30 : 10);
+        IterRange r;
+        const bool got = sched->next(tcs[t], r);
+        const i64 now_closes = sched->stats().aid_phases;
+        if (now_closes != closes) {
+          ASSERT_EQ(now_closes, closes + 1);
+          closes = now_closes;
+          if (!was_endgame) {
+            EXPECT_EQ(aid->in_endgame(), before <= threshold)
+                << "shards=" << shards << " close " << closes
+                << " remaining " << before;
+            qualifying_close_seen |= before <= threshold;
+          }
+        } else {
+          EXPECT_EQ(aid->in_endgame(), was_endgame)
+              << "the endgame flipped outside a phase close";
+        }
+        if (got) {
+          delivered += r.size();
+        } else {
+          done[t] = true;
+          --live;
+        }
+      }
+    }
+    EXPECT_EQ(delivered, 400);
+    EXPECT_GT(closes, 3);
+    EXPECT_TRUE(qualifying_close_seen) << "shards=" << shards;
+    EXPECT_TRUE(aid->in_endgame()) << "shards=" << shards;
+  }
 }
 
 }  // namespace

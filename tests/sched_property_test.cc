@@ -13,6 +13,7 @@
 #include <tuple>
 #include <vector>
 
+#include "sched/dynamic_sched.h"
 #include "sched/sharded_work_share.h"
 #include "test_util.h"
 
@@ -379,6 +380,89 @@ TEST(ShardedWorkShareStress, ExactlyOnceUnderStealsAndRebalances) {
     // Counter sanity: every logged range was one accounted removal.
     EXPECT_EQ(pool.removals(), successes);
     EXPECT_EQ(pool.local_removals() + pool.remote_removals(), successes);
+  }
+}
+
+// With one home per thread, seams and migration cuts land on multiples of
+// the grain, so dynamic(c) keeps handing out whole, aligned c-chunks while
+// steal-path bulk migrations and estimator rebalances race the takes:
+// every range starts at a multiple of c and holds c iterations (only the
+// global last may be shorter), and removals equal ceil(count / c).
+TEST(ShardedWorkShareStress, DynamicChunksStayWholeUnderPerThreadHomes) {
+  const auto p = platform::generic_amp(4, 4, 3.0);
+  const platform::TeamLayout layout(p, 8, platform::Mapping::kBigFirst);
+  const ShardTopology topo = ShardTopology::from_layout(layout, 0);
+  ASSERT_EQ(topo.nshards(), 8);
+  const int nthreads = layout.nthreads();
+  std::mt19937_64 rng(0x5EA4C0DEULL);
+  for (int round = 0; round < 24; ++round) {
+    const i64 chunk = 1 + static_cast<i64>(rng() % 13);          // 1..13
+    const i64 count = 1 + static_cast<i64>(rng() % 5000);        // 1..5000
+    const bool via_scheduler = round % 2 == 1;
+    ShardedWorkShare pool(topo, nthreads, chunk);
+    // Built directly: make_scheduler would narrow dynamic to per-type homes.
+    auto sched = std::make_unique<DynamicScheduler>(count, chunk, nthreads,
+                                                    topo);
+    // Skewed arming, so homes drain at different times and steal.
+    std::vector<double> split(static_cast<usize>(topo.nshards()));
+    for (auto& w : split) w = 1.0 + static_cast<double>(rng() % 8);
+    pool.reset(count, split);
+
+    std::vector<std::vector<IterRange>> taken(static_cast<usize>(nthreads));
+    std::vector<std::thread> threads;
+    for (int t = 0; t < nthreads; ++t) {
+      const u64 seed = rng();
+      threads.emplace_back([&, t, seed] {
+        std::mt19937_64 local(seed);
+        ThreadContext tc;
+        tc.tid = t;
+        tc.core_type = layout.core_type_of(t);
+        tc.shard = sched->home_shard_of(t);
+        auto& log = taken[static_cast<usize>(t)];
+        for (;;) {
+          IterRange r;
+          if (via_scheduler) {
+            if (!sched->next(tc, r)) return;
+          } else {
+            if (local() % 8 == 0) {
+              std::vector<double> rates(static_cast<usize>(topo.nshards()));
+              for (auto& w : rates) w = 1.0 + static_cast<double>(local() % 8);
+              pool.rebalance(rates, /*min_block=*/chunk, t);
+            }
+            r = pool.take(chunk, t, topo.home_of(t));
+            if (r.empty()) return;
+          }
+          log.push_back(r);
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+
+    std::vector<u8> seen(static_cast<usize>(count), 0);
+    i64 ranges = 0;
+    for (const auto& log : taken) {
+      for (const auto& r : log) {
+        ++ranges;
+        ASSERT_EQ(r.begin % chunk, 0) << "round " << round << " chunk "
+                                      << chunk << " begin " << r.begin;
+        if (r.end != count) {
+          ASSERT_EQ(r.size(), chunk) << "round " << round << " begin "
+                                     << r.begin;
+        }
+        ASSERT_LE(r.end, count);
+        for (i64 i = r.begin; i < r.end; ++i) {
+          ASSERT_EQ(seen[static_cast<usize>(i)], 0) << "iteration " << i;
+          seen[static_cast<usize>(i)] = 1;
+        }
+      }
+    }
+    for (i64 i = 0; i < count; ++i)
+      ASSERT_EQ(seen[static_cast<usize>(i)], 1) << "iteration " << i;
+    const i64 exact = (count + chunk - 1) / chunk;
+    EXPECT_EQ(ranges, exact) << "round " << round;
+    EXPECT_EQ(via_scheduler ? sched->stats().pool_removals : pool.removals(),
+              exact)
+        << "round " << round;
   }
 }
 

@@ -36,11 +36,12 @@
 //   rebalances_per_run — contiguous blocks bulk-migrated per drain.
 //
 // shard=single is the classic one-line WorkShare, shard=sharded the
-// per-core-type ShardedWorkShare (what every schedule but AID-dynamic
-// runs on), shard=per_thread the ShardedWorkShare with one home per
-// thread (AID-dynamic's default), shard=fallback1 the ShardedWorkShare
-// forced to one shard (the AID_SHARDS=1 regression guard: it must stay
-// within noise of single). NOTE on 1-CPU hosts: all threads share one
+// ShardedWorkShare with one home per core type (what dynamic and
+// AID-dynamic run on under AID_SHARDS=2), shard=per_thread the
+// ShardedWorkShare with one home per thread (their default),
+// shard=fallback1 the ShardedWorkShare forced to one shard (the
+// AID_SHARDS=1 regression guard: it must stay within noise of single).
+// NOTE on 1-CPU hosts: all threads share one
 // L1, so the cross-cluster coherence cost the sharding removes is
 // invisible in take_ns there — the locality story shows in
 // local_share_pct; take_ns separation needs a real multicore.
@@ -393,7 +394,7 @@ void report_shard_family(bench::BenchJsonWriter& json, int nthreads,
                rebalances = pool.rebalances();
              }));
   };
-  emit_sharded("sharded", per_thread.per_core_type(layout));
+  emit_sharded("sharded", sched::ShardTopology::from_layout(layout, 2));
   emit_sharded("per_thread", per_thread);
   {
     // AID_SHARDS=1 fallback: must stay within noise of shard=single.

@@ -109,9 +109,9 @@ class Team {
     return sched_cache_;
   }
 
-  /// The shard topology every construct of this team arms (one home per
-  /// thread on an AMP layout, narrowed to one per core type for every
-  /// schedule but AID-dynamic; AID_SHARDS overrides). Fixed for the team's
+  /// The shard topology this team's dynamic and AID-dynamic constructs
+  /// run on (one home per thread on an AMP layout; AID_SHARDS overrides);
+  /// every other schedule runs on one pool. Fixed for the team's
   /// lifetime, so the GOMP surface reuses it instead of re-deriving one.
   [[nodiscard]] const sched::ShardTopology& shard_topology() const {
     return shard_topo_;

@@ -33,7 +33,7 @@
 #include "common/padded.h"
 #include "sched/loop_scheduler.h"
 #include "sched/sf_estimator.h"
-#include "sched/sharded_work_share.h"
+#include "sched/work_share.h"
 
 namespace aid::sched {
 
@@ -44,7 +44,7 @@ class AidBlockScheduler final : public LoopScheduler {
   /// this SF for the fastest core type (Fig. 9 variant).
   AidBlockScheduler(i64 count, const platform::TeamLayout& layout, i64 chunk,
                     double aid_fraction, std::optional<double> offline_sf,
-                    std::string name, ShardTopology topo = {});
+                    std::string name);
 
   bool next(ThreadContext& tc, IterRange& out) override;
   void reset(i64 count) override;
@@ -52,9 +52,6 @@ class AidBlockScheduler final : public LoopScheduler {
   [[nodiscard]] SchedulerStats stats() const override;
   [[nodiscard]] i64 pool_removals_of(int tid) const override {
     return pool_.removals_of(tid);
-  }
-  [[nodiscard]] int home_shard_of(int tid) const override {
-    return pool_.home_of(tid);
   }
   [[nodiscard]] i64 remaining() const override { return pool_.remaining(); }
 
@@ -85,15 +82,11 @@ class AidBlockScheduler final : public LoopScheduler {
     i64 delta = 0;    ///< δᵢ: iterations executed before entering AID
   };
 
-  void finalize(ThreadContext& tc);
+  void finalize();
   bool take_aid_block(ThreadContext& tc, PerThread& pt, IterRange& out);
-  bool drain(IterRange& out, int tid, int shard);
-  /// Per-shard progress rates under the published SF vector (feeds the
-  /// bulk rebalance that pre-positions shards for the AID blocks), written
-  /// into the pre-sized shard_rate_ buffer.
-  const std::vector<double>& shard_rates();
+  bool drain(IterRange& out, int tid);
 
-  ShardedWorkShare pool_;
+  WorkShare pool_;
   SfEstimator estimator_;
   std::atomic<bool> aid_ready_{false};
 
@@ -112,8 +105,6 @@ class AidBlockScheduler final : public LoopScheduler {
   const int nthreads_;
   std::vector<int> threads_per_type_;
   std::vector<double> nominal_speed_;
-  std::vector<int> type_of_tid_;  ///< feeds per-shard rates into rebalance
-  std::vector<double> shard_rate_;  ///< shard_rates()'s buffer, pre-sized
   std::vector<Padded<PerThread>> per_thread_;
 };
 

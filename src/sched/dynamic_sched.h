@@ -7,11 +7,10 @@
 // often) at the price of one pool removal per chunk — the overhead the paper
 // shows can negate the benefit (IS: 1.93x slowdown; CG on Platform B: 2.86x).
 // Under a sharded topology (sharded_work_share.h) that per-chunk removal is
-// a cluster-local RMW on the thread's home shard (make_scheduler gives
-// dynamic one home per core type), and home seams fall on chunk boundaries
-// so every removal is still a whole chunk, however many homes the topology
-// has; with the default single-shard topology it is the classic shared
-// fetch-add.
+// a core-local RMW on the thread's own home shard, and home seams fall on
+// chunk boundaries so every removal is still a whole chunk, however many
+// homes the topology has; with the default single-shard topology it is the
+// classic shared fetch-add.
 #pragma once
 
 #include "sched/loop_scheduler.h"

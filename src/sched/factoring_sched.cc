@@ -8,8 +8,8 @@ namespace aid::sched {
 
 WeightedFactoringScheduler::WeightedFactoringScheduler(
     i64 count, const platform::TeamLayout& layout,
-    std::vector<double> weights, ShardTopology topo)
-    : pool_(std::move(topo), layout.nthreads()), weights_(std::move(weights)) {
+    std::vector<double> weights)
+    : pool_(layout.nthreads()), weights_(std::move(weights)) {
   AID_CHECK(count >= 0);
   if (weights_.empty()) {
     weights_.reserve(static_cast<usize>(layout.nthreads()));
@@ -40,7 +40,7 @@ bool WeightedFactoringScheduler::next(ThreadContext& tc, IterRange& out) {
             static_cast<double>(remaining) * w / (2.0 * weight_sum_)));
         return want > 0 ? want : 1;
       },
-      tc.tid, tc.shard);
+      tc.tid);
   return !out.empty();
 }
 
@@ -50,10 +50,8 @@ void WeightedFactoringScheduler::reset(i64 count) {
 }
 
 SchedulerStats WeightedFactoringScheduler::stats() const {
-  return {.pool_removals = pool_.removals(),
-          .local_removals = pool_.local_removals(),
-          .steal_removals = pool_.remote_removals(),
-          .shard_rebalances = pool_.rebalances()};
+  const i64 removals = pool_.removals();
+  return {.pool_removals = removals, .local_removals = removals};
 }
 
 }  // namespace aid::sched

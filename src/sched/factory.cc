@@ -28,47 +28,39 @@ std::unique_ptr<LoopScheduler> make_scheduler(
   // idle instance via reset() per construct, so this switch runs once per
   // (shape, layout generation) — not once per loop.
   //
-  // Only AID-dynamic runs on `topo` as given (one home per thread on an
-  // AMP layout): it is the schedule per-thread homes were measured for.
-  // Every other pool-backed schedule keeps one home per core type until
-  // its own runs show per-thread homes pay (src/sched/README.md, "Shard
-  // layout"): guided and factoring size their takes from the home's
-  // remainder, and AID-static pre-positions its homes with one rebalance.
-  const auto type_homes = [&] { return topo.per_core_type(layout); };
+  // The home rule belongs to the scheduler types: the chunk streams
+  // (dynamic, AID-dynamic) take `topo` as given; every other pool-backed
+  // schedule makes few, variable-size takes and runs on one plain
+  // WorkShare, libgomp's single pool (src/sched/README.md, "Shard layout").
   switch (spec.kind) {
     case ScheduleKind::kStatic:
       return std::make_unique<StaticScheduler>(count, layout, spec.chunk);
     case ScheduleKind::kDynamic:
       return std::make_unique<DynamicScheduler>(
-          count, spec.effective_chunk(), layout.nthreads(), type_homes());
+          count, spec.effective_chunk(), layout.nthreads(), topo);
     case ScheduleKind::kGuided:
       return std::make_unique<GuidedScheduler>(count, layout,
-                                               spec.effective_chunk(),
-                                               type_homes());
+                                               spec.effective_chunk());
     case ScheduleKind::kAidStatic:
       return std::make_unique<AidBlockScheduler>(
           count, layout, spec.effective_chunk(), /*aid_fraction=*/1.0,
           spec.offline_sf,
-          spec.offline_sf ? "aid-static(offline-SF)" : "aid-static",
-          type_homes());
+          spec.offline_sf ? "aid-static(offline-SF)" : "aid-static");
     case ScheduleKind::kAidHybrid:
       AID_CHECK_MSG(spec.hybrid_percent > 0.0 && spec.hybrid_percent <= 100.0,
                     "AID-hybrid percentage must be in (0, 100]");
       return std::make_unique<AidBlockScheduler>(
           count, layout, spec.effective_chunk(), spec.hybrid_percent / 100.0,
-          spec.offline_sf, "aid-hybrid", type_homes());
+          spec.offline_sf, "aid-hybrid");
     case ScheduleKind::kAidDynamic:
       return std::make_unique<AidDynamicScheduler>(
           count, layout, spec.effective_chunk(), spec.major_chunk,
           spec.aid_endgame, topo);
     case ScheduleKind::kTrapezoid:
       return std::make_unique<TrapezoidScheduler>(count, layout, spec.chunk,
-                                                  spec.major_chunk,
-                                                  type_homes());
+                                                  spec.major_chunk);
     case ScheduleKind::kWeightedFactoring:
-      return std::make_unique<WeightedFactoringScheduler>(count, layout,
-                                                          std::vector<double>{},
-                                                          type_homes());
+      return std::make_unique<WeightedFactoringScheduler>(count, layout);
   }
   AID_CHECK(false);
   return nullptr;

@@ -7,23 +7,19 @@
 // removals hand each thread ~NI/T iterations regardless of core speed, so a
 // small-core thread can strand a huge early block while the shrinking tail
 // is too small to rebalance. bench_guided_comparison reproduces this.
-// Under a sharded topology the shrinking removal is computed against the
-// *segment* being CASed (the home shard's live segment in the common
-// case) while the divisor stays the team-wide thread count, so chunks
-// shrink faster than classic guided — per cluster, and again per
-// migrated block. Cross-cluster traffic only appears when a cluster's
-// shard drains and the thread steals.
+// The pool is always libgomp's single WorkShare: the shrinking removal
+// reads the whole loop's remainder, which a home shard's remainder would
+// understate (src/sched/README.md, "Shard layout").
 #pragma once
 
 #include "sched/loop_scheduler.h"
-#include "sched/sharded_work_share.h"
+#include "sched/work_share.h"
 
 namespace aid::sched {
 
 class GuidedScheduler final : public LoopScheduler {
  public:
-  GuidedScheduler(i64 count, const platform::TeamLayout& layout, i64 chunk,
-                  ShardTopology topo = {});
+  GuidedScheduler(i64 count, const platform::TeamLayout& layout, i64 chunk);
 
   bool next(ThreadContext& tc, IterRange& out) override;
   void reset(i64 count) override;
@@ -32,13 +28,10 @@ class GuidedScheduler final : public LoopScheduler {
   [[nodiscard]] i64 pool_removals_of(int tid) const override {
     return pool_.removals_of(tid);
   }
-  [[nodiscard]] int home_shard_of(int tid) const override {
-    return pool_.home_of(tid);
-  }
   [[nodiscard]] i64 remaining() const override { return pool_.remaining(); }
 
  private:
-  ShardedWorkShare pool_;
+  WorkShare pool_;
   i64 chunk_;
   int nthreads_;
 };

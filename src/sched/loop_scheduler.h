@@ -75,7 +75,8 @@ class LoopScheduler {
   /// lands on the thread's home; home membership therefore follows whatever
   /// layout the scheduler was built from (coherent across repartitions —
   /// a new partition means a new scheduler, hence a new topology).
-  /// Pool-backed schedulers override; the default covers pool-less ones.
+  /// Sharded schedulers override; the default covers the single-pool and
+  /// pool-less ones.
   [[nodiscard]] virtual int home_shard_of(int tid) const {
     (void)tid;
     return 0;
@@ -94,10 +95,10 @@ class LoopScheduler {
     const ScheduleSpec& spec, i64 count, const platform::TeamLayout& layout);
 
 /// Shard-aware overload: the runtime (Team / WorkerPool / GOMP surface)
-/// passes a ShardTopology derived from the executing layout, giving every
-/// pool-backed scheduler a sharded pool with home-local takes
-/// (sharded_work_share.h): AID-dynamic gets `topo` as is, every other
-/// schedule topo.per_core_type(layout).
+/// passes a ShardTopology derived from the executing layout. The
+/// chunk-stream schedules (dynamic, AID-dynamic) run a sharded pool on it
+/// with home-local takes (sharded_work_share.h); every other pool-backed
+/// schedule ignores it and runs on libgomp's single WorkShare.
 [[nodiscard]] std::unique_ptr<LoopScheduler> make_scheduler(
     const ScheduleSpec& spec, i64 count, const platform::TeamLayout& layout,
     const ShardTopology& topo);

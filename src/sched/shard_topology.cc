@@ -86,13 +86,4 @@ ShardTopology ShardTopology::from_layout(const platform::TeamLayout& layout,
   return topo;
 }
 
-ShardTopology ShardTopology::per_core_type(
-    const platform::TeamLayout& layout) const {
-  int populated = 0;
-  for (int t = 0; t < layout.num_core_types(); ++t)
-    if (layout.threads_of_type(t) > 0) ++populated;
-  if (nshards() <= populated) return *this;
-  return from_layout(layout, populated);
-}
-
 }  // namespace aid::sched

@@ -12,10 +12,10 @@
 // and a home never mixes core types. A layout with one populated core
 // type keeps the classic single pool.
 //
-// make_scheduler gives these per-thread homes to AID-dynamic, the schedule
-// they were measured for; every other pool-backed schedule runs on
-// per_core_type(), at most one home per populated core type
-// (src/sched/README.md, "Shard layout").
+// make_scheduler gives these homes to the chunk-stream schedules (dynamic,
+// AID-dynamic), whose thousands of fixed-grain takes are what core-local
+// removals pay for; every other pool-backed schedule runs on one plain
+// WorkShare whatever the topology (src/sched/README.md, "Shard layout").
 //
 // The topology is *mechanism description*, not policy: it is computed once
 // per construct from the layout that will execute it, which is what keeps
@@ -31,7 +31,7 @@
 //   N > 1      — at most N homes, shared by same-type threads. N equal to
 //                the number of populated core types is one home per core
 //                type; below that, the excess types merge into the last
-//                home (and the other schedules get the same narrowing).
+//                home.
 #pragma once
 
 #include <vector>
@@ -76,13 +76,6 @@ struct ShardTopology {
   /// At most `requested_shards` homes (<=0 means auto: kMaxShards).
   [[nodiscard]] static ShardTopology from_layout(
       const platform::TeamLayout& layout, int requested_shards);
-
-  /// This topology with at most one home per populated core type of
-  /// `layout` (the layout it was derived from): itself when it already has
-  /// no more homes than that (single pool, AID_SHARDS=2 on two types),
-  /// else from_layout(layout, populated types).
-  [[nodiscard]] ShardTopology per_core_type(
-      const platform::TeamLayout& layout) const;
 };
 
 }  // namespace aid::sched

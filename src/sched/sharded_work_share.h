@@ -5,12 +5,13 @@
 // thread counts the runtime overhead the paper measures (Sec. 4.2) is
 // dominated by that coherence traffic, not by useful removals.
 // ShardedWorkShare splits the canonical space into *homes* (ShardTopology:
-// one per team thread for AID-dynamic, at most kMaxShards, one per core
-// type for the other schedules; never mixing core types): each home's hot
-// segment words live alone in their own cache lines and are written only
-// by the home's members on the fast path, so the common-case removal is a
-// home-local RMW (core-local for a one-thread home). Cross-core traffic
-// happens per *steal* or per *bulk migration* — not per chunk.
+// one per team thread, at most kMaxShards, never mixing core types): each
+// home's hot segment words live alone in their own cache lines and are
+// written only by the home's members on the fast path, so the common-case
+// removal is a home-local RMW (core-local for a one-thread home).
+// Cross-core traffic happens per *steal* or per *bulk migration* — not per
+// chunk. Only the chunk-stream schedules (dynamic, AID-dynamic) run on it;
+// the others take few, variable-size ranges from a plain WorkShare.
 //
 // Mechanics (full design note + memory-ordering argument in
 // src/sched/README.md):
@@ -32,8 +33,8 @@
 //    scan the other shards — migrating HALF of a fat victim's remainder
 //    into the home shard in one CAS (bulk migration) or, for thin
 //    victims, removing a single chunk remotely (steal).
-//  * rebalance(weights): the estimator-driven path — the AID schedulers
-//    feed their measured speedup factors in after each phase, and one
+//  * rebalance(weights): the estimator-driven path — AID-dynamic feeds
+//    its measured speedup factors in after each phase, and one
 //    contiguous block moves from the shard that would finish late to the
 //    shard that would finish early.
 //  * Exactly-once: every ownership transfer (take, cut, install) is a
@@ -90,8 +91,7 @@ class ShardedWorkShare {
   /// Arm for a loop of `count` canonical iterations, split across shards
   /// proportional to the topology's nominal capacities.
   void reset(i64 count);
-  /// Arm with explicit per-shard weights (one per shard; the AID
-  /// schedulers pass measured speedup-factor aggregates).
+  /// Arm with explicit per-shard weights (one per shard).
   void reset(i64 count, const std::vector<double>& weights);
 
   /// Remove up to `want` iterations, preferring the caller's home shard.
@@ -111,46 +111,6 @@ class ShardedWorkShare {
       return r;
     }
     return take_stealing(want, tid, home);
-  }
-
-  /// Remove with a size recomputed from the *segment's* remaining count
-  /// (guided semantics become per-home under sharding; with one shard
-  /// this is exactly WorkShare::take_adaptive). Pure CAS — never
-  /// overshoots, so it needs no fetch_add want cap.
-  template <typename WantFn>
-  IterRange take_adaptive(WantFn&& want_of, int tid, int home) {
-    if (single_mode_) {
-      return single_.take_adaptive(static_cast<WantFn&&>(want_of), tid);
-    }
-    if (poisoned_.load(std::memory_order_relaxed)) return {count_, count_};
-    AID_CHECK(tid >= 0 && tid < nthreads_);
-    if (home < 0 || home >= nshards_) home = 0;
-    for (int k = 0; k < nshards_; ++k) {
-      const int s = (home + k) % nshards_;
-      const int hint = hint_of(s).load(std::memory_order_relaxed);
-      for (int j = 0; j < kSegsPerShard; ++j) {
-        int i = hint + j;
-        if (i >= kSegsPerShard) i -= kSegsPerShard;
-        std::atomic<u64>& word = seg(s, i);
-        u64 w = word.load(std::memory_order_acquire);
-        for (;;) {
-          const i64 n = unpack_next(w);
-          const i64 e = unpack_end(w);
-          if (n >= e) break;
-          i64 want = want_of(e - n);
-          AID_DCHECK(want >= 1);
-          const i64 stop = n + want < e ? n + want : e;
-          if (word.compare_exchange_weak(w, pack(stop, e),
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_acquire)) {
-            if (j != 0) hint_of(s).store(i, std::memory_order_relaxed);
-            note_removal(tid, /*local=*/k == 0);
-            return {n, stop};
-          }
-        }
-      }
-    }
-    return {count_, count_};
   }
 
   /// Cancellation poison. Sharded mode uses a FLAG rather than draining

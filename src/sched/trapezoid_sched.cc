@@ -8,9 +8,8 @@ namespace aid::sched {
 
 TrapezoidScheduler::TrapezoidScheduler(i64 count,
                                        const platform::TeamLayout& layout,
-                                       i64 first_chunk, i64 last_chunk,
-                                       ShardTopology topo)
-    : pool_(std::move(topo), layout.nthreads()),
+                                       i64 first_chunk, i64 last_chunk)
+    : pool_(layout.nthreads()),
       nthreads_(layout.nthreads()),
       requested_first_(first_chunk),
       requested_last_(last_chunk) {
@@ -59,7 +58,7 @@ bool TrapezoidScheduler::next(ThreadContext& tc, IterRange& out) {
     return false;
   }
   const i64 k = chunk_index_.fetch_add(1, std::memory_order_relaxed);
-  out = pool_.take(chunk_size(k), tc.tid, tc.shard);
+  out = pool_.take(chunk_size(k), tc.tid);
   return !out.empty();
 }
 
@@ -70,10 +69,8 @@ void TrapezoidScheduler::reset(i64 count) {
 }
 
 SchedulerStats TrapezoidScheduler::stats() const {
-  return {.pool_removals = pool_.removals(),
-          .local_removals = pool_.local_removals(),
-          .steal_removals = pool_.remote_removals(),
-          .shard_rebalances = pool_.rebalances()};
+  const i64 removals = pool_.removals();
+  return {.pool_removals = removals, .local_removals = removals};
 }
 
 }  // namespace aid::sched

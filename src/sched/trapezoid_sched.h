@@ -11,20 +11,16 @@
 #include <atomic>
 
 #include "sched/loop_scheduler.h"
-#include "sched/sharded_work_share.h"
+#include "sched/work_share.h"
 
 namespace aid::sched {
 
 class TrapezoidScheduler final : public LoopScheduler {
  public:
   /// first/last chunk sizes; 0 picks the classic defaults
-  /// first = ceil(NI / (2T)), last = 1. Under a sharded topology the chunk
-  /// *size* sequence stays global (one shared chunk index — TSS's linear
-  /// decrement is inherently a global schedule) while the iterations
-  /// themselves come from the taker's home shard.
+  /// first = ceil(NI / (2T)), last = 1.
   TrapezoidScheduler(i64 count, const platform::TeamLayout& layout,
-                     i64 first_chunk = 0, i64 last_chunk = 0,
-                     ShardTopology topo = {});
+                     i64 first_chunk = 0, i64 last_chunk = 0);
 
   bool next(ThreadContext& tc, IterRange& out) override;
   void reset(i64 count) override;
@@ -32,9 +28,6 @@ class TrapezoidScheduler final : public LoopScheduler {
   [[nodiscard]] SchedulerStats stats() const override;
   [[nodiscard]] i64 pool_removals_of(int tid) const override {
     return pool_.removals_of(tid);
-  }
-  [[nodiscard]] int home_shard_of(int tid) const override {
-    return pool_.home_of(tid);
   }
   [[nodiscard]] i64 remaining() const override { return pool_.remaining(); }
 
@@ -46,7 +39,7 @@ class TrapezoidScheduler final : public LoopScheduler {
  private:
   void configure(i64 count);
 
-  ShardedWorkShare pool_;
+  WorkShare pool_;
   std::atomic<i64> chunk_index_{0};
   i64 first_ = 1;
   i64 last_ = 1;

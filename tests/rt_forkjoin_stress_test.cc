@@ -93,7 +93,7 @@ TEST(ForkJoinStress, DynamicRemovalCountIsExactWithSingleShard) {
 }
 
 TEST(ForkJoinStress, DynamicRemovalCountIsTightUnderSharding) {
-  // The per-core-type sharded pool keeps the count near-exact: every shard
+  // The sharded pool keeps the count near-exact: every shard
   // seam and every bulk-migrated block can clamp at most one take short,
   // so removals <= ceil(NI / c) + (shards - 1) + rebalances. All removals
   // are accounted as either home-local or steals.

@@ -65,15 +65,26 @@ TEST(Team, NegativeStepLoop) {
 TEST(Team, WorkerInfoReflectsLayout) {
   Team team(small_amp(), 4, Mapping::kBigFirst, false);
   std::vector<std::atomic<int>> seen_type(4);
+  // static gives every thread, the master included, one block, so every
+  // tid must report its layout's core type. BS on 2s2b: tids 0,1 big
+  // (type 1).
+  for (auto& s : seen_type) s.store(-1);
+  team.run_loop(1000, ScheduleSpec::static_even(),
+                [&](i64, i64, const WorkerInfo& w) {
+                  seen_type[static_cast<usize>(w.tid)].store(w.core_type);
+                });
+  EXPECT_EQ(seen_type[0].load(), 1);
+  for (int tid = 0; tid < 4; ++tid)
+    EXPECT_EQ(seen_type[static_cast<usize>(tid)].load(),
+              team.layout().core_type_of(tid))
+        << tid;
+  // dynamic promises no thread a chunk: whichever threads won one must
+  // report their layout's core type.
   for (auto& s : seen_type) s.store(-1);
   team.run_loop(1000, ScheduleSpec::dynamic(1),
                 [&](i64, i64, const WorkerInfo& w) {
                   seen_type[static_cast<usize>(w.tid)].store(w.core_type);
                 });
-  // BS on 2s2b: tids 0,1 big (type 1).
-  EXPECT_EQ(seen_type[0].load(), 1);
-  // Other threads may or may not win iterations, but if they did, the type
-  // must match the layout.
   for (int tid = 0; tid < 4; ++tid) {
     const int t = seen_type[static_cast<usize>(tid)].load();
     if (t >= 0) {

@@ -13,7 +13,7 @@
 #include <tuple>
 #include <vector>
 
-#include "sched/dynamic_sched.h"
+#include "sched/loop_scheduler.h"
 #include "sched/sharded_work_share.h"
 #include "test_util.h"
 
@@ -155,9 +155,9 @@ TEST(ScheduleProperty, LabelsAreUniqueAndParsable) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedWorkShare properties: the per-core-type pool must deliver every
-// iteration exactly once no matter how takes, adaptive takes, endgame
-// steals and bulk rebalances interleave (src/sched/README.md documents the
+// ShardedWorkShare properties: the sharded pool must deliver every
+// iteration exactly once no matter how takes, endgame steals and bulk
+// rebalances interleave (src/sched/README.md documents the
 // migration protocol these tests hammer).
 
 ShardTopology two_shard_topo(int nthreads) {
@@ -296,10 +296,9 @@ TEST(ShardedWorkShare, OversizedLoopFallsBackToSinglePool) {
   EXPECT_EQ(pool.nshards(), 2);
 }
 
-// The randomized concurrent harness (ISSUE 4 satellite): real threads mix
-// take / take_adaptive with endgame steals while rebalances race them,
-// across skewed splits and shard counts. Every iteration must be
-// delivered exactly once.
+// The randomized concurrent harness: real threads mix takes of random
+// sizes with endgame steals while rebalances race them, across skewed
+// splits and shard counts. Every iteration must be delivered exactly once.
 TEST(ShardedWorkShareStress, ExactlyOnceUnderStealsAndRebalances) {
   std::mt19937_64 rng(0xA1DC0FFEEULL);
   for (int round = 0; round < 10; ++round) {
@@ -339,18 +338,8 @@ TEST(ShardedWorkShareStress, ExactlyOnceUnderStealsAndRebalances) {
               w = 1.0 + static_cast<double>(local() % 8);
             pool.rebalance(rates, 1 + static_cast<i64>(local() % 8), t);
           }
-          IterRange r;
-          if (op % 2 == 0) {
-            r = pool.take(1 + static_cast<i64>(local() % 8), t, home);
-          } else {
-            r = pool.take_adaptive(
-                [&local](i64 remaining) {
-                  const i64 cap = 1 + static_cast<i64>(local() % 16);
-                  const i64 want = remaining / 7 + 1;
-                  return want < cap ? want : cap;
-                },
-                t, home);
-          }
+          const IterRange r =
+              pool.take(1 + static_cast<i64>(local() % 8), t, home);
           if (r.empty()) return;  // every shard looked drained
           log.push_back(r);
         }
@@ -400,9 +389,8 @@ TEST(ShardedWorkShareStress, DynamicChunksStayWholeUnderPerThreadHomes) {
     const i64 count = 1 + static_cast<i64>(rng() % 5000);        // 1..5000
     const bool via_scheduler = round % 2 == 1;
     ShardedWorkShare pool(topo, nthreads, chunk);
-    // Built directly: make_scheduler would narrow dynamic to per-type homes.
-    auto sched = std::make_unique<DynamicScheduler>(count, chunk, nthreads,
-                                                    topo);
+    const auto sched =
+        make_scheduler(ScheduleSpec::dynamic(chunk), count, layout, topo);
     // Skewed arming, so homes drain at different times and steal.
     std::vector<double> split(static_cast<usize>(topo.nshards()));
     for (auto& w : split) w = 1.0 + static_cast<double>(rng() % 8);
